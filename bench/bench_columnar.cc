@@ -17,6 +17,12 @@
 //     where the fast path's per-group memo pays off).
 //   - BM_T2Semi{Row,Col}*: the Table 2 EXISTS shape — semi join where
 //     most probes miss, so per-probe key handling dominates.
+//   - *Slice variants: the T1/T2 joins under a 32 MiB memory budget — the
+//     admission slice every service request without a budget of its own
+//     inherits. The columnar paths run under a budget too (exact arena
+//     charging, row-table fallback on a memory trip), so Col must keep its
+//     lead over Row here. The T1 nest join runs at a quarter of the rows:
+//     at full size its grouped output alone outgrows the slice.
 
 #include <cstdio>
 #include <map>
@@ -109,15 +115,16 @@ void BM_Filter(benchmark::State& state, bool columnar, int threads) {
 // probe key domain, so most probes miss.
 constexpr size_t kJoinRows = 1 << 16;
 
-PhysicalOpPtr MakeJoinPlan(bool columnar, JoinMode mode, int matches) {
+PhysicalOpPtr MakeJoinPlan(bool columnar, JoinMode mode, int matches,
+                           size_t nest_rows) {
   std::shared_ptr<Table> x, y;
   if (mode == JoinMode::kNestJoin) {
     const auto domain =
-        static_cast<int64_t>(kJoinRows) / static_cast<int64_t>(matches);
-    const std::string xn = "XN" + std::to_string(matches);
-    const std::string yn = "YN" + std::to_string(matches);
-    x = Cached(xn.c_str(), kJoinRows, domain, 11);
-    y = Cached(yn.c_str(), kJoinRows, domain, 13);
+        static_cast<int64_t>(nest_rows) / static_cast<int64_t>(matches);
+    const std::string suffix =
+        std::to_string(matches) + "/" + std::to_string(nest_rows);
+    x = Cached(("XN" + suffix).c_str(), nest_rows, domain, 11);
+    y = Cached(("YN" + suffix).c_str(), nest_rows, domain, 13);
   } else {
     x = Cached("XS", kJoinRows, kDomain, 17);
     y = Cached("YS", kJoinRows / 4, kDomain, 19);
@@ -152,20 +159,29 @@ PhysicalOpPtr MakeJoinPlan(bool columnar, JoinMode mode, int matches) {
                                       std::move(fast)));
 }
 
+// The server's default admission slice: 256 MiB shared by 8 queries.
+constexpr uint64_t kSliceBudget = 32ull << 20;
+
 void BM_Join(benchmark::State& state, bool columnar, JoinMode mode,
-             int threads) {
+             int threads, uint64_t budget = 0) {
   // range(0) is the average matches per key for the nest-join shape; the
   // semi-join shape ignores it.
   const int matches =
       mode == JoinMode::kNestJoin ? static_cast<int>(state.range(0)) : 0;
-  PhysicalOpPtr plan = MakeJoinPlan(columnar, mode, matches);
+  const size_t nest_rows = budget == 0 ? kJoinRows : kJoinRows / 4;
+  PhysicalOpPtr plan = MakeJoinPlan(columnar, mode, matches, nest_rows);
   Executor executor(threads);
+  GuardLimits limits;
+  limits.memory_budget_bytes = budget;
+  executor.set_limits(limits);
   for (auto _ : state) {
     auto rows = CheckOk(executor.RunPhysical(plan.get()), "join");
     benchmark::DoNotOptimize(rows.size());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kJoinRows));
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations()) *
+      static_cast<int64_t>(mode == JoinMode::kNestJoin ? nest_rows
+                                                       : kJoinRows));
 }
 
 void BM_FilterRowT1(benchmark::State& s) { BM_Filter(s, false, 1); }
@@ -199,6 +215,31 @@ void BM_T2SemiColT4(benchmark::State& s) {
   BM_Join(s, true, JoinMode::kSemi, 4);
 }
 
+void BM_T1NestRowT1Slice(benchmark::State& s) {
+  BM_Join(s, false, JoinMode::kNestJoin, 1, kSliceBudget);
+}
+void BM_T1NestColT1Slice(benchmark::State& s) {
+  BM_Join(s, true, JoinMode::kNestJoin, 1, kSliceBudget);
+}
+void BM_T1NestRowT4Slice(benchmark::State& s) {
+  BM_Join(s, false, JoinMode::kNestJoin, 4, kSliceBudget);
+}
+void BM_T1NestColT4Slice(benchmark::State& s) {
+  BM_Join(s, true, JoinMode::kNestJoin, 4, kSliceBudget);
+}
+void BM_T2SemiRowT1Slice(benchmark::State& s) {
+  BM_Join(s, false, JoinMode::kSemi, 1, kSliceBudget);
+}
+void BM_T2SemiColT1Slice(benchmark::State& s) {
+  BM_Join(s, true, JoinMode::kSemi, 1, kSliceBudget);
+}
+void BM_T2SemiRowT4Slice(benchmark::State& s) {
+  BM_Join(s, false, JoinMode::kSemi, 4, kSliceBudget);
+}
+void BM_T2SemiColT4Slice(benchmark::State& s) {
+  BM_Join(s, true, JoinMode::kSemi, 4, kSliceBudget);
+}
+
 #define TMDB_FILTER_ARGS ->Arg(10)->Arg(500)->Arg(990)\
     ->Unit(benchmark::kMillisecond)
 BENCHMARK(BM_FilterRowT1) TMDB_FILTER_ARGS;
@@ -216,6 +257,15 @@ BENCHMARK(BM_T2SemiRowT1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_T2SemiColT1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_T2SemiRowT4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_T2SemiColT4)->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_T1NestRowT1Slice)->Arg(2)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_T1NestColT1Slice)->Arg(2)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_T1NestRowT4Slice)->Arg(2)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_T1NestColT4Slice)->Arg(2)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_T2SemiRowT1Slice)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_T2SemiColT1Slice)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_T2SemiRowT4Slice)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_T2SemiColT4Slice)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tmdb

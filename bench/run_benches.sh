@@ -84,12 +84,15 @@ merge "$SUBPLAN_OUT_DIR" "$REPO_ROOT/BENCH_subplan.json"
 
 # Columnar suite: row vs columnar execution of the same plan shapes —
 # scan+filter across selectivities, the Table 1 nest-equijoin shape and
-# the Table 2 semi-join shape, serial and with a 4-thread pool.
+# the Table 2 semi-join shape, serial and with a 4-thread pool, the joins
+# also under the service's 32 MiB admission slice. Five interleaved
+# repetitions give each bar a spread.
 COLUMNAR_OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR" "$SUBPLAN_OUT_DIR" "$COLUMNAR_OUT_DIR"' EXIT
 (
   OUT_DIR="$COLUMNAR_OUT_DIR"
-  run bench_columnar
+  run bench_columnar --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
 )
 merge "$COLUMNAR_OUT_DIR" "$REPO_ROOT/BENCH_columnar.json"
 

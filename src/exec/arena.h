@@ -15,6 +15,13 @@ namespace tmdb {
 /// charged (and checkpointed) against the query's memory budget.
 inline constexpr size_t kArenaBlockBytes = 64 * 1024;
 
+/// Block size for an arena whose owner allocates a few arrays it sizes up
+/// front (a filter's selection scratch, a join's key and chain arrays):
+/// every allocation gets a block of exactly its 16-byte-aligned size, so the
+/// guard is charged only the bytes the owner asked for. A few KiB of keys
+/// then cost a few KiB of budget, not a whole default block.
+inline constexpr size_t kArenaExactBlocks = 1;
+
 /// Block bump allocator backing per-query transient buffers: column
 /// gather/selection scratch, join-key arrays, hash-table head/next chains.
 ///
@@ -23,8 +30,10 @@ inline constexpr size_t kArenaBlockBytes = 64 * 1024;
 /// block at a time through a GuardReservation, so a per-element allocation
 /// costs a pointer bump while budget trips still fire within one block of
 /// the limit; Reset() frees every block and refunds the full charge, which
-/// is how operators drop their scratch when diverting to the spill path
-/// (the plan may outlive the executor, so Reset also runs at Open/Close).
+/// is how operators drop their scratch when diverting to the row or spill
+/// path (the plan may outlive the executor, so Reset also runs at
+/// Open/Close). With kArenaExactBlocks each allocation is its own block, so
+/// the charge is exact rather than block-rounded.
 ///
 /// Not thread-safe: operators allocate from the coordinating thread only;
 /// morsel workers receive raw pointers into already-allocated (read-only)
@@ -63,6 +72,15 @@ class Arena {
 
   /// Total bytes currently charged to the guard for this arena.
   uint64_t bytes_charged() const { return res_.held(); }
+
+  /// True when `s` is the bound guard's memory-budget trip — not max_rows,
+  /// cancellation, a deadline or an injected fault. Arena-backed fast paths
+  /// answer one by calling Reset() and continuing on the row path, which
+  /// holds none of this memory; every other failure propagates.
+  bool IsMemoryTrip(const Status& s) const {
+    return s.code() == StatusCode::kResourceExhausted &&
+           res_.guard() != nullptr && res_.guard()->last_trip_was_memory();
+  }
 
  private:
   struct Block {

@@ -125,29 +125,32 @@ Status FilterOp::Open(ExecContext* ctx) {
   pending_pos_ = 0;
   arena_.Reset();
   TMDB_RETURN_IF_ERROR(child_->Open(ctx));
-  // Under a memory budget the columnar path stands down: its arena block
-  // would shift the memory profile (and therefore spill points and trip
-  // sites) away from the row path whose degradation behaviour is the
-  // contract. Budgeted runs take the row path; everything else is faster
-  // AND bit-identical.
-  const bool budgeted = ctx->guard != nullptr &&
-                        ctx->guard->limits().memory_budget_bytes != 0;
-  if (!budgeted && cpred_.has_value() && child_->columnar_ready()) {
+  if (cpred_.has_value() && child_->columnar_ready()) {
     const ColumnStore* store = child_->columnar_source();
     if (store != nullptr && cpred_->Matches(*store)) {
-      arena_.Bind(ctx->guard);
-      TMDB_ASSIGN_OR_RETURN(uint32_t * sel,
-                            arena_.AllocateArray<uint32_t>(kExecBatchSize));
-      sel_ = sel;
-      TMDB_ASSIGN_OR_RETURN(uint8_t * keep,
-                            arena_.AllocateArray<uint8_t>(kExecBatchSize));
-      keep_ = keep;
-      TMDB_RETURN_IF_ERROR(cpred_->AllocScratch(
-          &arena_, static_cast<uint32_t>(kExecBatchSize), &scratch_));
-      columnar_active_ = true;
+      Status scratch = AllocColumnarScratch(ctx);
+      if (scratch.ok()) {
+        columnar_active_ = true;
+      } else {
+        // The arena is charged exactly what the batch scratch needs. If
+        // even that trips the memory budget, refund it and run the row
+        // path, which holds no scratch — a budgeted query must not fail
+        // here when the row path would not.
+        const bool memory_trip = arena_.IsMemoryTrip(scratch);
+        arena_.Reset();
+        if (!memory_trip) return scratch;
+      }
     }
   }
   return Status::OK();
+}
+
+Status FilterOp::AllocColumnarScratch(ExecContext* ctx) {
+  arena_.Bind(ctx->guard);
+  TMDB_ASSIGN_OR_RETURN(sel_, arena_.AllocateArray<uint32_t>(kExecBatchSize));
+  TMDB_ASSIGN_OR_RETURN(keep_, arena_.AllocateArray<uint8_t>(kExecBatchSize));
+  return cpred_->AllocScratch(&arena_, static_cast<uint32_t>(kExecBatchSize),
+                              &scratch_);
 }
 
 Result<ColumnBatch> FilterOp::NextColumnBatch() {

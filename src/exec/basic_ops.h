@@ -74,7 +74,9 @@ class ExprSourceOp final : public PhysicalOp {
 /// vector. Row-form output is then served via ColumnStore::RowValue —
 /// bit-identical rows and identical rows_emitted / predicate_evals counts.
 /// All transient buffers (mask, selection vector, predicate scratch) come
-/// from a per-operator arena charged to the query's guard.
+/// from a per-operator arena charged to the query's guard — exactly their
+/// size, so a memory budget sees a few KiB, not a whole arena block. When
+/// even that trips the budget at Open, the filter runs the row path.
 class FilterOp final : public PhysicalOp {
  public:
   FilterOp(PhysicalOpPtr child, std::string var, Expr pred,
@@ -100,6 +102,10 @@ class FilterOp final : public PhysicalOp {
   Result<ColumnBatch> NextColumnBatch() override;
 
  private:
+  /// Binds the arena and allocates the selection vector, the mask and the
+  /// predicate's scratch for one batch.
+  Status AllocColumnarScratch(ExecContext* ctx);
+
   PhysicalOpPtr child_;
   std::string var_;
   Expr pred_;
@@ -110,7 +116,7 @@ class FilterOp final : public PhysicalOp {
 
   // Columnar state, live while columnar_active_.
   bool columnar_active_ = false;
-  Arena arena_;
+  Arena arena_{kArenaExactBlocks};
   ColumnPredicate::Scratch scratch_;
   uint32_t* sel_ = nullptr;  // surviving row ids of the current batch
   uint8_t* keep_ = nullptr;  // predicate output mask

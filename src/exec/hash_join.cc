@@ -33,16 +33,8 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   spilled_ = false;
   build_res_.Reset(ctx->guard);
 
-  fast_active_ = false;
+  ReleaseFastTable();
   build_rows_.clear();
-  arena_.Reset();
-  fk_i64_ = nullptr;
-  fk_f64_ = nullptr;
-  fk_codes_ = nullptr;
-  heads_ = nullptr;
-  next_ = nullptr;
-  bucket_mask_ = 0;
-  fast_dict_ = StringDict();
   probe_batch_.clear();
   serve_.clear();
   serve_pos_ = 0;
@@ -78,11 +70,14 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     Status probed = ParallelProbe();
     if (probed.ok()) {
       materialized_ = true;
-    } else if (SpillEligible(ctx, probed)) {
+    } else if (SpillEligible(ctx, probed) ||
+               (fast_active_ && arena_.IsMemoryTrip(probed))) {
       // The build table fits but materialising the probe side blew the
       // budget. Fall back to the streaming probe, which holds one left row
-      // at a time: refund the probe scratch (its values freed on unwind)
-      // and restart the left input.
+      // at a time — on the fast table it also degrades to the row table if
+      // the budget is still blown at its first batch boundary: refund the
+      // probe scratch (its values freed on unwind) and restart the left
+      // input.
       build_res_.Shrink(build_res_.held() - held_before);
       output_.clear();
       output_.shrink_to_fit();
@@ -94,6 +89,18 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     }
   }
   return Status::OK();
+}
+
+void HashJoinOp::ReleaseFastTable() {
+  fast_active_ = false;
+  arena_.Reset();
+  fk_i64_ = nullptr;
+  fk_f64_ = nullptr;
+  fk_codes_ = nullptr;
+  heads_ = nullptr;
+  next_ = nullptr;
+  bucket_mask_ = 0;
+  fast_dict_ = StringDict();
 }
 
 Status HashJoinOp::BuildTables(ExecContext* ctx) {
@@ -126,19 +133,15 @@ Status HashJoinOp::BuildTables(ExecContext* ctx) {
   }
   right_->Close();
 
-  // The fast path stands down under a memory budget: its arena block and
-  // retained build_rows_ change the memory profile through the probe, which
-  // would turn budget trips the row path survives (by spilling during the
-  // build) into probe-phase failures. Budgeted runs keep the row build's
-  // proven degradation story.
-  const bool budgeted = ctx->guard != nullptr &&
-                        ctx->guard->limits().memory_budget_bytes != 0;
-  if (fast_spec_.has_value() && !budgeted) {
+  if (fast_spec_.has_value()) {
     Result<bool> fast = BuildFast(ctx, &rows);
     if (!fast.ok()) {
-      arena_.Reset();
+      ReleaseFastTable();
+      // The row build's peak (a composite key Value per build row) exceeds
+      // the fast build's, so a memory trip here is one the row build would
+      // hit too: spill or fail exactly as it would. BuildFast never
+      // disturbs `rows`.
       if (!SpillEligible(ctx, fast.status())) return fast.status();
-      // BuildFast never disturbs `rows`; divert them to disk.
       return SpillBuildAndProbe(ctx, std::move(rows), /*right_open=*/false);
     }
     if (*fast) {
@@ -148,8 +151,7 @@ Status HashJoinOp::BuildTables(ExecContext* ctx) {
     // A build key deviated from the static kind contract (NULL, coerced
     // Int in a Real field, NaN): release the arena and fall back to the
     // row build, which handles every kind combination.
-    arena_.Reset();
-    fast_dict_ = StringDict();
+    ReleaseFastTable();
   }
 
   Status built = BuildInMemory(ctx, &rows);
@@ -662,11 +664,37 @@ Result<std::optional<Value>> HashJoinOp::Next() {
   return NextStreaming();
 }
 
+Status HashJoinOp::FastProbeCheckpoint() {
+  Status s = CheckGuard(ctx_);
+  if (s.ok() || !arena_.IsMemoryTrip(s)) return s;
+  // Degrade: no batch is in flight here — serve_ is drained and the next
+  // left row not yet read — so the row probe can take over with nothing to
+  // undo. Refund the arena and build the row table in one pass straight
+  // into a single partition (FindBucket serves any partition count): a
+  // duplicate key's Value dies as soon as its row is inserted, so memory
+  // never rises above the row table the row path holds at this point.
+  ReleaseFastTable();
+  partitions_.assign(1, BuildMap());
+  BuildMap& table = partitions_[0];
+  table.reserve(build_rows_.size());
+  for (size_t i = 0; i < build_rows_.size(); ++i) {
+    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, i));
+    TMDB_ASSIGN_OR_RETURN(Value key, EvalCompositeKey(right_keys_,
+                                                      spec_.right_var,
+                                                      build_rows_[i], ctx_));
+    table[std::move(key)].push_back(std::move(build_rows_[i]));
+  }
+  build_rows_.clear();
+  build_rows_.shrink_to_fit();
+  return CheckGuard(ctx_);
+}
+
 Result<std::optional<Value>> HashJoinOp::NextFastStreaming() {
   while (serve_pos_ >= serve_.size()) {
     serve_.clear();
     serve_pos_ = 0;
-    TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
+    TMDB_RETURN_IF_ERROR(FastProbeCheckpoint());
+    if (!fast_active_) return NextStreaming();
     probe_batch_.clear();
     TMDB_ASSIGN_OR_RETURN(size_t got,
                           left_->NextBatch(&probe_batch_, kExecBatchSize));
@@ -699,7 +727,13 @@ Result<size_t> HashJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
       }
       serve_.clear();
       serve_pos_ = 0;
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
+      TMDB_RETURN_IF_ERROR(FastProbeCheckpoint());
+      if (!fast_active_) {
+        // Degraded mid-call: the row probe fills the rest of this batch.
+        TMDB_ASSIGN_OR_RETURN(size_t rest,
+                              PhysicalOp::NextBatch(out, max - produced));
+        return produced + rest;
+      }
       probe_batch_.clear();
       TMDB_ASSIGN_OR_RETURN(size_t got,
                             left_->NextBatch(&probe_batch_, kExecBatchSize));
@@ -819,17 +853,9 @@ void HashJoinOp::Close() {
   output_pos_ = 0;
   materialized_ = false;
   spilled_ = false;
-  fast_active_ = false;
+  ReleaseFastTable();
   build_rows_.clear();
   build_rows_.shrink_to_fit();
-  arena_.Reset();
-  fk_i64_ = nullptr;
-  fk_f64_ = nullptr;
-  fk_codes_ = nullptr;
-  heads_ = nullptr;
-  next_ = nullptr;
-  bucket_mask_ = 0;
-  fast_dict_ = StringDict();
   probe_batch_.clear();
   serve_.clear();
   serve_pos_ = 0;

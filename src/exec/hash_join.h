@@ -27,11 +27,21 @@ namespace tmdb {
 ///
 /// With ExecContext::parallel_enabled(), the build side is hash-partitioned
 /// into `num_threads` disjoint partitions whose tables are built
-/// concurrently, and — when the residual predicate and nest-join G function
-/// are subplan-free — the probe side is materialised and probed in parallel
-/// morsels. Both paths are bit-identical to serial execution: partitioning
-/// preserves per-key insertion order, morsel outputs are concatenated in
-/// probe order, and worker-local stats are summed deterministically.
+/// concurrently, and the probe side is materialised and probed in parallel
+/// morsels (each worker evaluates subplan-bearing residuals and G functions
+/// with its own forked subplan evaluator). Both paths are bit-identical to
+/// serial execution: partitioning preserves per-key insertion order, morsel
+/// outputs are concatenated in probe order, and worker-local stats are
+/// summed deterministically.
+///
+/// Under a memory budget the raw-key fast table (see the constructor) runs
+/// too. Its arena is charged exactly the bytes of its key and chain arrays.
+/// A memory trip in the fast build spills or fails as the (larger) row
+/// build would. A trip in the parallel probe falls back to the streaming
+/// probe, with or without spill; a trip at a streaming fast-probe batch
+/// boundary refunds the arena, builds the row table from the retained
+/// build rows and carries on with the row probe. Rows are identical either
+/// way.
 ///
 /// When ExecContext::spill is set and the memory budget trips while the
 /// build side materialises, the operator degrades to Grace-style
@@ -87,8 +97,7 @@ class HashJoinOp final : public PhysicalOp {
   /// intact so the caller can divert to the spill path.
   Status BuildInMemory(ExecContext* ctx, std::vector<Value>* rows);
   /// Materialises the left input and probes it with parallel morsels,
-  /// filling output_. Only called when the probe expressions are
-  /// subplan-free.
+  /// filling output_.
   Status ParallelProbe();
   /// Appends the join output rows of one left row to `out` (all modes);
   /// dispatches to the fast probe when the fast table is active.
@@ -113,6 +122,12 @@ class HashJoinOp final : public PhysicalOp {
   /// deviates from the spec's kind contract; errors propagate (a memory
   /// trip here is spill-eligible, also with `rows` intact).
   Result<bool> BuildFast(ExecContext* ctx, std::vector<Value>* rows);
+  /// Refunds the arena and forgets the fast table (build_rows_ is kept).
+  void ReleaseFastTable();
+  /// The streaming fast probe's batch-boundary checkpoint. A memory trip
+  /// here degrades: the fast table gives way to the row table, built from
+  /// build_rows_, and the budget is re-checked.
+  Status FastProbeCheckpoint();
   /// Fast-path analogue of ProcessLeftRow.
   Status ProcessLeftRowFast(const Value& left_row, ExecContext* ctx,
                             std::vector<Value>* out) const;
@@ -185,7 +200,7 @@ class HashJoinOp final : public PhysicalOp {
   std::optional<FastKeySpec> fast_spec_;
   bool fast_active_ = false;
   std::vector<Value> build_rows_;  // build rows in input order
-  Arena arena_;                    // key arrays + heads/next chains
+  Arena arena_{kArenaExactBlocks};  // key arrays + heads/next chains
   const int64_t* fk_i64_ = nullptr;
   const double* fk_f64_ = nullptr;
   const uint32_t* fk_codes_ = nullptr;

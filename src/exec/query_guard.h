@@ -260,6 +260,9 @@ class GuardReservation {
   /// Balance currently charged through this reservation.
   uint64_t held() const { return bytes_; }
 
+  /// The guard charges go to (null when unbound).
+  QueryGuard* guard() const { return guard_; }
+
  private:
   QueryGuard* guard_ = nullptr;
   uint64_t bytes_ = 0;

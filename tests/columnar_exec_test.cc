@@ -2,13 +2,16 @@
 // RunOptions::enable_columnar on vs off produces BIT-IDENTICAL rows (order
 // included) and identical ExecStats (guard_checkpoints excepted — the two
 // paths checkpoint on different schedules), serial and parallel, spill on
-// and off. Also unit-tests the pieces: ColumnStore kind-exactness and
-// dictionary rep-sharing, ColumnPredicate compilation and semantics,
-// ResolveFastKeys, arena charging through the guard, the Charge()
-// granularity contract, and fault-injection sweeps over the new
-// checkpoints.
+// and off. Under a memory budget tight enough to spill, on succeeds
+// whenever off does, with the same rows. Also unit-tests the pieces:
+// ColumnStore kind-exactness and dictionary rep-sharing, ColumnPredicate
+// compilation and semantics, ResolveFastKeys, arena charging through the
+// guard, the Charge() granularity contract, and fault-injection sweeps
+// over the new checkpoints, budgeted ones included.
 
 #include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,6 +34,8 @@
 namespace tmdb {
 namespace {
 
+namespace fs = std::filesystem;
+
 using testutil::IntRow;
 
 /// The fuzz corpus: every nested-query shape the suite seeds from, over the
@@ -46,6 +51,9 @@ const char* kSeedQueries[] = {
     "SELECT x FROM R x WHERE count(z) = 0 WITH z = (SELECT y FROM S y "
     "WHERE x.c = y.c)",
 };
+
+/// A flat selection: the compiled column predicate over a columnar scan.
+const char* kFlatSelection = "SELECT x FROM R x WHERE x.a > 10 AND x.b < 30";
 
 ::testing::AssertionResult BitIdentical(const std::vector<Value>& actual,
                                         const std::vector<Value>& expected) {
@@ -92,9 +100,9 @@ const char* kSeedQueries[] = {
 }
 
 /// Runs `query` with columnar off (reference) and on, asserting identical
-/// rows and stats. No memory budget here: budgets can make spill decisions
-/// diverge between paths (different transient footprints), which is
-/// covered separately with rows-only equality.
+/// rows and stats. Without a spilling budget: budgets tight enough to spill
+/// can make spill decisions diverge between paths (different transient
+/// footprints), which is covered separately with rows-only equality.
 void ExpectColumnarParity(Database* db, const std::string& query,
                           RunOptions options) {
   options.enable_columnar = false;
@@ -175,41 +183,99 @@ TEST_F(ColumnarQueryTest, SubsetBugShape) {
   }
 }
 
+/// Runs `query` under `budget` (spill on) with columnar on and off. Under a
+/// budget the two paths may spill at different points (their transient
+/// footprints differ), so only the rows are compared — each against the
+/// unbudgeted run, which the spill tests already prove bit-identical.
+/// Returns whether the row path succeeded.
+bool ExpectBudgetedParity(Database* db, const std::string& query,
+                          int threads, uint64_t budget) {
+  SCOPED_TRACE(query + " / threads=" + std::to_string(threads) +
+               " / budget=" + std::to_string(budget));
+  RunOptions reference;
+  reference.num_threads = threads;
+  reference.enable_columnar = true;
+  auto expected = db->Run(query, reference);
+  EXPECT_TRUE(expected.ok()) << expected.status().ToString();
+  if (!expected.ok()) return false;
+
+  RunOptions budgeted = reference;
+  budgeted.memory_budget_bytes = budget;
+  budgeted.enable_spill = true;
+  auto spilled = db->Run(query, budgeted);
+  budgeted.enable_columnar = false;
+  auto row_spilled = db->Run(query, budgeted);
+  // enable_columnar must not change the budgeted outcome: both paths
+  // succeed (with rows identical to the unbudgeted run) or both trip with
+  // the same code — the fast paths run under a budget, charge their arenas
+  // exactly, and fall back to the row tables on a memory trip.
+  EXPECT_EQ(spilled.ok(), row_spilled.ok())
+      << "columnar=" << (spilled.ok() ? "ok" : spilled.status().ToString())
+      << " row="
+      << (row_spilled.ok() ? "ok" : row_spilled.status().ToString());
+  if (spilled.ok() != row_spilled.ok()) return row_spilled.ok();
+  if (spilled.ok()) {
+    EXPECT_TRUE(BitIdentical(spilled->rows, expected->rows));
+    EXPECT_TRUE(BitIdentical(row_spilled->rows, expected->rows));
+  } else {
+    EXPECT_EQ(spilled.status().code(), row_spilled.status().code());
+  }
+  return row_spilled.ok();
+}
+
 TEST_F(ColumnarQueryTest, SpillParityRowsOnly) {
-  // Under a budget the two paths may spill at different points (their
-  // transient footprints differ), so only the rows are compared — each
-  // against its own unbudgeted run, which the spill tests already prove
-  // bit-identical.
-  for (const char* query : {kSeedQueries[0], kSeedQueries[1]}) {
-    for (int threads : {1, 2}) {
+  // Budgets from "below the working set of every shape" to "spills nothing",
+  // each moving where the arena-backed paths trip and fall back.
+  for (const char* query : kSeedQueries) {
+    for (uint64_t budget : {64ull << 10, 96ull << 10, 128ull << 10,
+                            256ull << 10, 512ull << 10, 2ull << 20}) {
+      for (int threads : {1, 2, 4}) {
+        ExpectBudgetedParity(&db_, query, threads, budget);
+      }
+    }
+  }
+}
+
+TEST_F(ColumnarQueryTest, CountBugAt96KiBSerialSucceedsOnBothPaths) {
+  // Regression: with the fast paths charging whole 64 KiB arena blocks for
+  // a few KiB of keys and chains, this cell failed with columnar on
+  // ("materialised 130390 bytes, over the memory budget of 98304") while
+  // the row path succeeded.
+  EXPECT_TRUE(ExpectBudgetedParity(&db_, kSeedQueries[0], 1, 96 << 10))
+      << "the row path no longer succeeds in this cell";
+}
+
+TEST_F(ColumnarQueryTest, FilterBelowItsScratchRunsTheRowPath) {
+  // The columnar filter's batch scratch (selection vector, mask, one slot
+  // per predicate register) is tens of KiB; the row filter holds none. At
+  // 16 KiB the scratch allocation trips at Open, and the filter must fall
+  // back to the row path rather than fail the query.
+  for (int threads : {1, 2}) {
+    EXPECT_TRUE(ExpectBudgetedParity(&db_, kFlatSelection, threads, 16 << 10))
+        << "the row path no longer succeeds in this cell";
+  }
+}
+
+TEST_F(ColumnarQueryTest, FastPathsEngageUnderTheServiceSlice) {
+  // A service request with no budget of its own inherits a 32 MiB
+  // admission slice. Under it the columnar filter and the raw-key join must
+  // run — same rows and stats as the row path — not stand down. They
+  // checkpoint on a different schedule from the row path, so identical
+  // guard_checkpoints would mean the row path ran both times.
+  for (const char* query : {kSeedQueries[0], kFlatSelection}) {
+    for (int threads : {1, 4}) {
       SCOPED_TRACE(std::string(query) + " / threads=" +
                    std::to_string(threads));
-      RunOptions reference;
-      reference.num_threads = threads;
-      reference.enable_columnar = true;
-      TMDB_ASSERT_OK_AND_ASSIGN(QueryResult expected,
-                                db_.Run(query, reference));
-
-      RunOptions budgeted = reference;
-      budgeted.memory_budget_bytes = 96 << 10;
-      budgeted.enable_spill = true;
-      auto spilled = db_.Run(query, budgeted);
-      budgeted.enable_columnar = false;
-      auto row_spilled = db_.Run(query, budgeted);
-      // enable_columnar must not change the budgeted outcome: both paths
-      // succeed (with rows identical to the unbudgeted run) or both trip
-      // with the same code — the fast paths stand down under a budget.
-      ASSERT_EQ(spilled.ok(), row_spilled.ok())
-          << "columnar="
-          << (spilled.ok() ? "ok" : spilled.status().ToString())
-          << " row="
-          << (row_spilled.ok() ? "ok" : row_spilled.status().ToString());
-      if (spilled.ok()) {
-        EXPECT_TRUE(BitIdentical(spilled->rows, expected.rows));
-        EXPECT_TRUE(BitIdentical(row_spilled->rows, expected.rows));
-      } else {
-        EXPECT_EQ(spilled.status().code(), row_spilled.status().code());
-      }
+      RunOptions options;
+      options.num_threads = threads;
+      options.memory_budget_bytes = 32ull << 20;
+      options.enable_columnar = false;
+      TMDB_ASSERT_OK_AND_ASSIGN(QueryResult row, db_.Run(query, options));
+      options.enable_columnar = true;
+      TMDB_ASSERT_OK_AND_ASSIGN(QueryResult col, db_.Run(query, options));
+      EXPECT_TRUE(BitIdentical(col.rows, row.rows));
+      EXPECT_TRUE(StatsMatch(col.stats, row.stats));
+      EXPECT_NE(col.stats.guard_checkpoints, row.stats.guard_checkpoints);
     }
   }
 }
@@ -218,7 +284,8 @@ TEST_F(ColumnarQueryTest, MemoryBudgetStillTripsWithColumnarEnabled) {
   // With enable_columnar set, a budget far below the working set must trip
   // exactly as before — the columnar machinery neither hides allocations
   // from the guard (ArenaTest proves arena charges land) nor bypasses the
-  // budget (fast paths stand down under one).
+  // budget (a memory trip on a fast path falls back to the row path, which
+  // meets the same budget).
   RunOptions options;
   options.enable_columnar = true;
   options.memory_budget_bytes = 2 << 10;  // 2 KiB: below one arena block
@@ -261,6 +328,179 @@ TEST_F(ColumnarQueryTest, FaultSweepOverColumnarCheckpoints) {
                               db_.Run(kSeedQueries[0], options));
     ASSERT_TRUE(BitIdentical(recovered.rows, baseline.rows))
         << "state leaked across fault at checkpoint " << n;
+  }
+}
+
+// ------------------------------------------------ budgeted fault sweeps
+
+std::string MakeSpillBase(const std::string& name) {
+  fs::path dir = fs::path(::testing::TempDir()) / ("tmdb-test-" + name);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir.string();
+}
+
+::testing::AssertionResult SpillBaseEmpty(const std::string& base) {
+  if (!fs::exists(base)) return ::testing::AssertionSuccess();
+  for (const auto& entry : fs::directory_iterator(base)) {
+    return ::testing::AssertionFailure()
+           << "leaked spill artefact: " << entry.path().string();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Sweeps checkpoint faults (ArmNth over a stride of every checkpoint) and,
+/// when the baseline spilled, I/O faults (ArmIo on each channel) across one
+/// budgeted run on a reused executor. Every fault must unwind to its typed
+/// status with the guard's memory back at zero and the spill directory
+/// `base` (empty = spill off) bare; the next disarmed run must reproduce
+/// the baseline rows.
+void SweepBudgetedFaults(
+    const std::function<Result<std::vector<Value>>()>& run,
+    Executor* executor, FaultInjector* injector, const std::string& base) {
+  auto expect_clean_unwind = [&](const Result<std::vector<Value>>& poisoned,
+                                 StatusCode code,
+                                 const std::vector<Value>& baseline) {
+    ASSERT_FALSE(poisoned.ok()) << "injected fault did not surface";
+    EXPECT_EQ(poisoned.status().code(), code) << poisoned.status().ToString();
+    EXPECT_EQ(executor->guard()->memory_used(), 0);
+    EXPECT_TRUE(SpillBaseEmpty(base));
+    injector->Disarm();
+    injector->DisarmIo();
+    auto recovered = run();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(BitIdentical(*recovered, baseline));
+    EXPECT_TRUE(SpillBaseEmpty(base));
+  };
+
+  injector->ArmNth(0);  // count checkpoints only
+  injector->ArmIo(IoFaultKind::kShortWrite, 0);  // count I/O only
+  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> baseline, run());
+  const uint64_t checkpoints = injector->checkpoints_seen();
+  const uint64_t writes = injector->io_writes_seen();
+  const uint64_t reads = injector->io_reads_seen();
+  ASSERT_GT(checkpoints, 0u);
+
+  const uint64_t stride = std::max<uint64_t>(1, checkpoints / 16);
+  for (uint64_t n = 1; n <= checkpoints; n += stride) {
+    SCOPED_TRACE("checkpoint " + std::to_string(n) + "/" +
+                 std::to_string(checkpoints));
+    injector->ArmNth(n);
+    expect_clean_unwind(run(), StatusCode::kInternal, baseline);
+  }
+
+  struct Channel {
+    IoFaultKind kind;
+    uint64_t ops;
+  };
+  const Channel channels[] = {{IoFaultKind::kShortWrite, writes},
+                              {IoFaultKind::kEnospc, writes},
+                              {IoFaultKind::kCorruptRead, reads}};
+  for (const Channel& ch : channels) {
+    const uint64_t io_stride = std::max<uint64_t>(1, ch.ops / 5);
+    for (uint64_t n = 1; n <= ch.ops; n += io_stride) {
+      SCOPED_TRACE("io kind=" + std::to_string(static_cast<int>(ch.kind)) +
+                   " n=" + std::to_string(n));
+      injector->ArmIo(ch.kind, n);
+      expect_clean_unwind(run(), StatusCode::kIoError, baseline);
+    }
+  }
+}
+
+TEST(ColumnarBudgetedFaultTest, FastBuildSpillSweep) {
+  // The COUNT-bug query with S three MiB wide at a 256 KiB budget: the raw-
+  // key build trips, falls back to the row build, and that trips into the
+  // Grace spill — the fallback chain under every checkpoint and I/O fault.
+  Database db;
+  CountBugConfig config;
+  config.num_r = 100;
+  config.num_s = 12000;
+  config.match_fraction = 0.5;
+  config.domain_scale = 256;
+  TMDB_ASSERT_OK(LoadCountBugTables(&db, config));
+  // A physical plan that outlives every run, so the guard's memory reading
+  // covers exactly what one run allocated.
+  TMDB_ASSERT_OK_AND_ASSIGN(LogicalOpPtr logical,
+                            db.Plan(kSeedQueries[0], Strategy::kNestJoin));
+  TMDB_ASSERT_OK_AND_ASSIGN(PhysicalOpPtr plan, Planner().Plan(logical));
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Executor reference(threads);
+    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> unbudgeted,
+                              reference.RunPhysical(plan.get()));
+    const std::string base =
+        MakeSpillBase("columnar-fault-t" + std::to_string(threads));
+    FaultInjector injector;
+    Executor executor(threads);
+    GuardLimits limits;
+    limits.memory_budget_bytes = 256 << 10;
+    executor.set_limits(limits);
+    executor.set_spill_options(true, base, 4096);
+    executor.set_fault_injector(&injector);
+    auto run = [&] { return executor.RunPhysical(plan.get()); };
+    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> spilled, run());
+    EXPECT_TRUE(BitIdentical(spilled, unbudgeted));
+    ASSERT_GT(executor.stats().spill_partitions, 0u)
+        << "the budget never spilled the build: "
+        << executor.stats().ToString();
+    SweepBudgetedFaults(run, &executor, &injector, base);
+    fs::remove_all(base);
+  }
+}
+
+TEST(ColumnarBudgetedFaultTest, ProbePhaseDegradeSweep) {
+  // A nest join over 4000 build rows sharing 16 keys: the raw-key table's
+  // key and chain arrays (~113 KiB) outweigh the row table's 16 key Values
+  // by far. At 272 KiB the fast build fits, but the nest join's output
+  // trips the budget while the fast table is live, and the query only
+  // completes by degrading to the row table at a streaming batch boundary
+  // (the row path itself fails here: its build holds one key Value per
+  // build row). No spill: at 2 threads the parallel probe's trip must
+  // reach the streaming probe on its own.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto left, Table::Create("L", Type::Tuple({{"k", Type::Int()},
+                                                 {"v", Type::Int()}})));
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto right, Table::Create("R", Type::Tuple({{"j", Type::Int()},
+                                                  {"w", Type::Int()}})));
+  for (int i = 0; i < 64; ++i) {
+    TMDB_ASSERT_OK(left->Insert(IntRow({"k", "v"}, {i % 32, i})));
+  }
+  for (int i = 0; i < 4000; ++i) {
+    TMDB_ASSERT_OK(right->Insert(IntRow({"j", "w"}, {i % 16, i})));
+  }
+  Expr xv = Expr::Var("x", left->schema());
+  Expr yv = Expr::Var("y", right->schema());
+  JoinSpec spec;
+  spec.mode = JoinMode::kNestJoin;
+  spec.left_var = "x";
+  spec.right_var = "y";
+  spec.right_type = right->schema();
+  spec.pred = Expr::True();
+  spec.func = yv;
+  spec.label = "g";
+  std::vector<Expr> lk = {Expr::Must(Expr::Field(xv, "k"))};
+  std::vector<Expr> rk = {Expr::Must(Expr::Field(yv, "j"))};
+  std::optional<FastKeySpec> fk = ResolveFastKeys(lk, rk, "x", "y");
+  ASSERT_TRUE(fk.has_value());
+  HashJoinOp join(PhysicalOpPtr(new TableScanOp(left)),
+                  PhysicalOpPtr(new TableScanOp(right)), spec, lk, rk, fk);
+
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Executor reference(threads);
+    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> unbudgeted,
+                              reference.RunPhysical(&join));
+    FaultInjector injector;
+    Executor executor(threads);
+    GuardLimits limits;
+    limits.memory_budget_bytes = 272 << 10;
+    executor.set_limits(limits);
+    executor.set_fault_injector(&injector);
+    auto run = [&] { return executor.RunPhysical(&join); };
+    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> degraded, run());
+    EXPECT_TRUE(BitIdentical(degraded, unbudgeted));
+    SweepBudgetedFaults(run, &executor, &injector, /*base=*/"");
   }
 }
 
@@ -749,6 +989,32 @@ TEST(ArenaTest, ChargesBlocksThroughTheGuard) {
   ASSERT_FALSE(blown.ok());
   EXPECT_EQ(blown.status().code(), StatusCode::kResourceExhausted);
   arena.Reset();
+}
+
+TEST(ArenaTest, ExactBlocksChargeOnlyTheBytesAskedFor) {
+  ExecStats stats;
+  QueryGuard guard;
+  GuardLimits limits;
+  limits.memory_budget_bytes = 1 << 10;
+  guard.Reset(limits, &stats, nullptr);
+
+  // The budget that a default arena's first block trips (above) holds an
+  // exact arena's 800 + 96 bytes: each allocation is charged its 16-byte
+  // aligned size, not a block.
+  Arena arena(kArenaExactBlocks);
+  arena.Bind(&guard);
+  TMDB_ASSERT_OK_AND_ASSIGN(int64_t* p, arena.AllocateArray<int64_t>(100));
+  p[99] = 1;
+  TMDB_ASSERT_OK_AND_ASSIGN(uint8_t* q, arena.AllocateArray<uint8_t>(90));
+  q[89] = 1;
+  EXPECT_EQ(arena.bytes_charged(), 800u + 96u);
+  EXPECT_EQ(guard.memory_used(), 800 + 96);
+  // Past the budget, the allocation trips as a memory trip.
+  auto blown = arena.AllocateArray<int64_t>(100);
+  ASSERT_FALSE(blown.ok());
+  EXPECT_TRUE(arena.IsMemoryTrip(blown.status()));
+  arena.Reset();
+  EXPECT_EQ(guard.memory_used(), 0);
 }
 
 TEST(ChargeGranularityTest, TripsWithinOneGranuleOfTheLimit) {

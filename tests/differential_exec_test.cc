@@ -5,7 +5,10 @@
 //  - memory: unbudgeted against a budget small enough to force the spill
 //    paths (hash-partition spill, external sort, ν spill, cache overflow);
 //  - parallelism: serial against a 4-thread pool;
-//  - join implementation: hash against sort-merge.
+//  - join implementation: hash against sort-merge;
+//  - under a budget, columnar execution on (arena-backed filter and
+//    raw-key hash tables, falling back to the row tables on a memory trip)
+//    against off.
 // Spilling, threading, and join choice are execution details — none of them
 // may change a single row. Serial runs are additionally checked for
 // determinism: repeating one reproduces rows bit for bit and the
@@ -94,10 +97,11 @@ class DifferentialExecTest : public ::testing::Test {
   }
 
   static RunOptions Opts(Strategy strategy, int threads, bool spill,
-                         const std::string& dir) {
+                         const std::string& dir, bool columnar = true) {
     RunOptions o;
     o.strategy = strategy;
     o.num_threads = threads;
+    o.enable_columnar = columnar;
     if (spill) {
       o.memory_budget_bytes = Budget();
       o.enable_spill = true;
@@ -120,17 +124,26 @@ TEST_F(DifferentialExecTest, StrategySpillThreadMatrixAgrees) {
                             Strategy::kNestJoin, Strategy::kNestJoinOnly,
                             Strategy::kAuto}) {
     for (int threads : {1, 4}) {
-      for (bool spill : {false, true}) {
+      // The budgeted cells run with columnar on and off: both must match.
+      struct Cell {
+        bool spill;
+        bool columnar;
+      };
+      for (Cell cell : {Cell{false, true}, Cell{true, true},
+                        Cell{true, false}}) {
+        const bool spill = cell.spill;
+        const bool columnar = cell.columnar;
         SCOPED_TRACE(StrategyName(strategy) + "/threads=" +
                      std::to_string(threads) +
-                     (spill ? "/spill" : "/in-memory"));
+                     (spill ? "/spill" : "/in-memory") +
+                     (columnar ? "/columnar" : "/row"));
         const std::string base =
             spill ? MakeSpillBase("diff-" + StrategyName(strategy) + "-t" +
                                   std::to_string(threads))
                   : "";
         TMDB_ASSERT_OK_AND_ASSIGN(
             QueryResult run, db_.Run(kQuery, Opts(strategy, threads, spill,
-                                                  base)));
+                                                  base, columnar)));
         EXPECT_TRUE(RowsEqual(run.rows, reference.rows));
         if (strategy == Strategy::kAuto) {
           // Auto must resolve to a concrete strategy and report it.
@@ -209,25 +222,29 @@ TEST_F(DifferentialExecTest, JoinImplementationsAgreeUnderSpill) {
 
   for (JoinImpl impl : {JoinImpl::kHash, JoinImpl::kMerge}) {
     for (int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(impl == JoinImpl::kHash ? "hash" : "merge") +
-                   "/threads=" + std::to_string(threads));
-      const std::string base = MakeSpillBase(
-          std::string("diff-impl-") +
-          (impl == JoinImpl::kHash ? "hash" : "merge") + "-t" +
-          std::to_string(threads));
-      RunOptions opts = Opts(Strategy::kNestJoin, threads, true, base);
-      opts.join_impl = impl;
-      TMDB_ASSERT_OK_AND_ASSIGN(QueryResult run, db_.Run(kQuery, opts));
-      EXPECT_TRUE(RowsEqual(run.rows, reference.rows));
-      if (impl == JoinImpl::kMerge) {
-        EXPECT_GT(run.stats.spill_sort_runs, 0u)
-            << "merge join never external-sorted: " << run.stats.ToString();
-      } else {
-        EXPECT_GT(run.stats.spill_partitions, 0u)
-            << "hash join never partition-spilled: " << run.stats.ToString();
+      for (bool columnar : {true, false}) {
+        SCOPED_TRACE(std::string(impl == JoinImpl::kHash ? "hash" : "merge") +
+                     "/threads=" + std::to_string(threads) +
+                     (columnar ? "/columnar" : "/row"));
+        const std::string base = MakeSpillBase(
+            std::string("diff-impl-") +
+            (impl == JoinImpl::kHash ? "hash" : "merge") + "-t" +
+            std::to_string(threads));
+        RunOptions opts =
+            Opts(Strategy::kNestJoin, threads, true, base, columnar);
+        opts.join_impl = impl;
+        TMDB_ASSERT_OK_AND_ASSIGN(QueryResult run, db_.Run(kQuery, opts));
+        EXPECT_TRUE(RowsEqual(run.rows, reference.rows));
+        if (impl == JoinImpl::kMerge) {
+          EXPECT_GT(run.stats.spill_sort_runs, 0u)
+              << "merge join never external-sorted: " << run.stats.ToString();
+        } else {
+          EXPECT_GT(run.stats.spill_partitions, 0u)
+              << "hash join never partition-spilled: " << run.stats.ToString();
+        }
+        EXPECT_TRUE(SpillBaseEmpty(base));
+        fs::remove_all(base);
       }
-      EXPECT_TRUE(SpillBaseEmpty(base));
-      fs::remove_all(base);
     }
   }
 }
