@@ -3,7 +3,8 @@
 // Every benchmark here comes in a Row and a Columnar variant running the
 // *same* physical plan shape over the same cached tables — the only delta
 // is the columnar machinery (ColumnBatch scans, compiled column
-// predicates, raw-key fast hash tables). Both variants produce
+// predicates, raw word keys in the hash join's table; the Row joins key
+// the same table by composite key Values). Both variants produce
 // bit-identical rows (columnar_exec_test asserts this); the numbers below
 // measure what that costs or saves.
 //
@@ -14,14 +15,14 @@
 //   - BM_T1Nest{Row,Col}*: the Table 1 shape — nest equijoin X ⋈ Y on
 //     x.v = y.v with G = identity. The argument is the average number of
 //     matches per key (2 = the paper's Table 1 density, 16 = group-heavy,
-//     where the fast path's per-group memo pays off).
+//     where the serial per-group memo pays off on both variants).
 //   - BM_T2Semi{Row,Col}*: the Table 2 EXISTS shape — semi join where
 //     most probes miss, so per-probe key handling dominates.
 //   - *Slice variants: the T1/T2 joins under a 32 MiB memory budget — the
 //     admission slice every service request without a budget of its own
-//     inherits. The columnar paths run under a budget too (exact arena
-//     charging, row-table fallback on a memory trip), so Col must keep its
-//     lead over Row here. The T1 nest join runs at a quarter of the rows:
+//     inherits. Raw keys run under a budget too (the join table charges
+//     exactly); the group memo does not, so these bars compare the two key
+//     encodings alone. The T1 nest join runs at a quarter of the rows:
 //     at full size its grouped output alone outgrows the slice.
 
 #include <cstdio>

@@ -38,11 +38,13 @@ run() {
 # Random interleaving + repetitions so the guarded-vs-unguarded delta
 # (BM_NestJoinHashGuarded) is not polluted by process-lifetime drift —
 # in registration order the guarded variant always runs later and
-# inherits whatever the allocator/CPU state has become by then.
+# inherits whatever the allocator/CPU state has become by then. Five
+# repetitions give every join bar a median and a spread.
 run bench_table1_nestjoin --benchmark_filter='BM_NestJoinHash' \
-  --benchmark_enable_random_interleaving=true --benchmark_repetitions=3
+  --benchmark_enable_random_interleaving=true --benchmark_repetitions=5
 run bench_nestjoin_impls \
-  --benchmark_filter='BM_(NestJoinHash|OuterJoinThenNest)(T4)?/'
+  --benchmark_filter='BM_(NestJoinHash|OuterJoinThenNest)(T4)?/' \
+  --benchmark_enable_random_interleaving=true --benchmark_repetitions=5
 
 merge() {
 python3 - "$1" "$2" <<'EOF'
@@ -63,12 +65,14 @@ EOF
 merge "$OUT_DIR" "$REPO_ROOT/BENCH_nestjoin.json"
 
 # Spill suite in its own JSON: in-memory baseline vs budget-forced Grace
-# partitioning (192 KiB = deep recursion, 512 KiB = shallow).
+# partitioning (192 KiB = deep recursion, 512 KiB = shallow), five
+# interleaved repetitions.
 SPILL_OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR"' EXIT
 (
   OUT_DIR="$SPILL_OUT_DIR"
-  run bench_spill
+  run bench_spill --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
 )
 merge "$SPILL_OUT_DIR" "$REPO_ROOT/BENCH_spill.json"
 

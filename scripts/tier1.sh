@@ -2,7 +2,8 @@
 # Tier-1 verification: normal build + full ctest, then sanitizer builds of
 # the suites that exercise cross-thread interleavings and error-unwind
 # paths — TSan for races, ASan for leaks/overflows on the fault-injection
-# unwinds (a mid-build abort that leaks shows up here, not in ctest).
+# unwinds (a mid-build abort that leaks shows up here, not in ctest), UBSan
+# for undefined behaviour on the hash join's paths.
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -76,5 +77,21 @@ cmake --build build-asan -j --target parallel_exec_test sched_test \
 ./build-asan/tests/cost_model_test
 ./build-asan/tests/net_service_test
 ./build-asan/tests/executor_reuse_soak_test
+
+# UBSan pass over the suites that drive the hash join's build table and its
+# serial, parallel, spill and fault-unwind paths: signed overflow in key
+# hashing, misaligned or out-of-range slot and chain reads, and invalid
+# enum loads in the key-encoding switches abort the run here.
+cmake -B build-ubsan -S . -DTMDB_SANITIZE=undefined
+cmake --build build-ubsan -j --target columnar_exec_test \
+  differential_exec_test spill_exec_test parallel_exec_test \
+  fault_injection_test join_table_test
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+./build-ubsan/tests/columnar_exec_test
+./build-ubsan/tests/differential_exec_test
+./build-ubsan/tests/spill_exec_test
+./build-ubsan/tests/parallel_exec_test
+./build-ubsan/tests/fault_injection_test
+./build-ubsan/tests/join_table_test
 
 echo "tier1: OK"

@@ -16,14 +16,14 @@ namespace tmdb {
 inline constexpr size_t kArenaBlockBytes = 64 * 1024;
 
 /// Block size for an arena whose owner allocates a few arrays it sizes up
-/// front (a filter's selection scratch, a join's key and chain arrays):
+/// front (a filter's selection scratch):
 /// every allocation gets a block of exactly its 16-byte-aligned size, so the
 /// guard is charged only the bytes the owner asked for. A few KiB of keys
 /// then cost a few KiB of budget, not a whole default block.
 inline constexpr size_t kArenaExactBlocks = 1;
 
 /// Block bump allocator backing per-query transient buffers: column
-/// gather/selection scratch, join-key arrays, hash-table head/next chains.
+/// gather and selection scratch.
 ///
 /// Allocations are trivially-destructible flat buffers only — the arena
 /// never runs destructors. Memory is charged to the bound QueryGuard one
@@ -74,8 +74,8 @@ class Arena {
   uint64_t bytes_charged() const { return res_.held(); }
 
   /// True when `s` is the bound guard's memory-budget trip — not max_rows,
-  /// cancellation, a deadline or an injected fault. Arena-backed fast paths
-  /// answer one by calling Reset() and continuing on the row path, which
+  /// cancellation, a deadline or an injected fault. The columnar filter
+  /// answers one by calling Reset() and continuing on the row path, which
   /// holds none of this memory; every other failure propagates.
   bool IsMemoryTrip(const Status& s) const {
     return s.code() == StatusCode::kResourceExhausted &&

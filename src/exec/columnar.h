@@ -116,13 +116,15 @@ class ColumnPredicate {
   std::vector<ColumnKind> col_kinds_;
 };
 
-/// Raw-key classification for the hash join's columnar fast path: a single
-/// equi-key pair of the form left_var.f = right_var.g over basic types.
+/// Raw-key classification for the hash join's table: a single equi-key
+/// pair of the form left_var.f = right_var.g over basic types, whose slots
+/// can be keyed by one 64-bit word.
 ///   kI64 — both sides statically Int: exact 64-bit keys.
 ///   kF64 — both numeric, at least one Real: keys are the double image,
 ///          matching how Value::Compare treats mixed numerics.
 ///   kStr — both String: build-side dictionary codes.
-/// Bools and mismatched kinds return nullopt (the row path handles them).
+/// Bools and mismatched kinds return nullopt (the table keys its slots by
+/// the composite key Value instead).
 struct FastKeySpec {
   enum class Kind : uint8_t { kI64, kF64, kStr };
   Kind kind = Kind::kI64;
@@ -135,31 +137,13 @@ std::optional<FastKeySpec> ResolveFastKeys(const std::vector<Expr>& left_keys,
                                            const std::string& left_var,
                                            const std::string& right_var);
 
-/// SplitMix64 finaliser — the raw-key hash for the fast join tables.
+/// SplitMix64 finaliser — the slot hash of the hash join's JoinTable.
 inline uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
 }
-
-inline uint64_t HashI64Key(int64_t v) {
-  return Mix64(static_cast<uint64_t>(v));
-}
-
-/// Double keys hash their canonicalised bit pattern: -0.0 folds into +0.0
-/// and every NaN into one quiet NaN, so keys that compare equal under the
-/// row path's CompareDoubles land in the same bucket.
-inline uint64_t HashF64Key(double d) {
-  if (d == 0.0) d = 0.0;           // -0.0 == 0.0, but bits differ
-  if (d != d) d = __builtin_nan(""); // all NaNs compare equal (tri-state)
-  uint64_t bits;
-  __builtin_memcpy(&bits, &d, sizeof(bits));
-  return Mix64(bits);
-}
-
-/// Key equality matching CompareDoubles' tri-state result of 0.
-inline bool F64KeyEq(double a, double b) { return !(a < b) && !(a > b); }
 
 }  // namespace tmdb
 

@@ -25,7 +25,7 @@ bool HashJoinOp::SpillEligible(const ExecContext* ctx, const Status& s) const {
 
 Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
                                       std::vector<Value> build_rows,
-                                      bool right_open) {
+                                      bool right_open, bool left_open) {
   spilled_ = true;
   materialized_ = true;
   SpillManager* mgr = ctx->spill;
@@ -95,7 +95,7 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
     ctx->stats->spill_partitions += kSpillFanout;
 
     // --- probe side out, co-partitioned on the same hash ---
-    TMDB_RETURN_IF_ERROR(left_->Open(ctx));
+    if (!left_open) TMDB_RETURN_IF_ERROR(left_->Open(ctx));
     std::vector<std::unique_ptr<SpillWriter>> pwriters(kSpillFanout);
     for (size_t p = 0; p < kSpillFanout; ++p) {
       TMDB_ASSIGN_OR_RETURN(parts[p].probe_path,
@@ -104,7 +104,7 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
                                                   mgr->block_bytes(), inj);
       TMDB_RETURN_IF_ERROR(pwriters[p]->Open());
     }
-    uint64_t tag = 0;  // original left-row index; restores output order
+    uint64_t tag = 0;  // left-row index from here on; restores output order
     std::vector<Value> batch;
     while (true) {
       TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
@@ -148,8 +148,8 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
       tagged.begin(), tagged.end(),
       [](const std::pair<uint64_t, Value>& a,
          const std::pair<uint64_t, Value>& b) { return a.first < b.first; });
-  output_.reserve(tagged.size());
-  for (auto& entry : tagged) output_.push_back(std::move(entry.second));
+  serve_.reserve(tagged.size());
+  for (auto& entry : tagged) serve_.push_back(std::move(entry.second));
   return Status::OK();
 }
 
@@ -163,10 +163,11 @@ Status HashJoinOp::ProcessSpillPartition(
       std::max<uint64_t>(ctx->stats->spill_max_depth,
                          static_cast<uint64_t>(depth) + 1);
 
-  // Load this partition's build half into an in-memory table. The memory
+  // Load this partition's build half into a table of its own. The memory
   // check is live again here: a trip means this partition alone exceeds the
   // budget, and we recurse instead of failing (up to the depth bound).
-  BuildMap table;
+  JoinTable table(right_keys_, spec_.right_var, raw_spec());
+  table.Reset(ctx->guard);
   GuardReservation slots;
   slots.Reset(ctx->guard);
   SpillReader build_reader(part.build_path, inj);
@@ -188,14 +189,14 @@ Status HashJoinOp::ProcessSpillPartition(
       TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
       TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &row));
       TMDB_RETURN_IF_ERROR(slots.Add(sizeof(Value)));
-      table[std::move(key)].push_back(std::move(row));
+      TMDB_RETURN_IF_ERROR(table.Add(ctx, std::move(row), std::move(key)));
     }
     return Status::OK();
   }();
   ctx->stats->spill_bytes_read += build_reader.stats().bytes;
   build_reader.Close();
   if (!load.ok()) {
-    table.clear();
+    table.Reset(nullptr);
     slots.Release();
     const bool memory_trip =
         load.code() == StatusCode::kResourceExhausted &&
@@ -234,12 +235,10 @@ Status HashJoinOp::ProcessSpillPartition(
       TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
       TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
       TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &left_row));
-      ctx->stats->hash_probes++;
-      auto it = table.find(key);
-      const std::vector<Value>* bucket =
-          it == table.end() ? nullptr : &it->second;
+      TMDB_ASSIGN_OR_RETURN(uint32_t slot,
+                            ProbeSlot(table, left_row, &key, ctx));
       row_out.clear();
-      TMDB_RETURN_IF_ERROR(ProcessMatch(left_row, bucket, ctx, &row_out));
+      TMDB_RETURN_IF_ERROR(ProcessMatch(table, left_row, slot, ctx, &row_out));
       if (!row_out.empty()) {
         TMDB_RETURN_IF_ERROR(build_res_.Add(
             row_out.size() * sizeof(std::pair<uint64_t, Value>)));
@@ -251,7 +250,7 @@ Status HashJoinOp::ProcessSpillPartition(
   ctx->stats->spill_bytes_read += probe_reader.stats().bytes;
   probe_reader.Close();
   slots.Release();
-  table.clear();
+  table.Reset(nullptr);
   if (!probe.ok()) {
     // A memory trip *during the probe* means table + accumulated output no
     // longer fit together. Recursing still helps — it shrinks the table's

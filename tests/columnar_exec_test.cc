@@ -207,8 +207,9 @@ bool ExpectBudgetedParity(Database* db, const std::string& query,
   auto row_spilled = db->Run(query, budgeted);
   // enable_columnar must not change the budgeted outcome: both paths
   // succeed (with rows identical to the unbudgeted run) or both trip with
-  // the same code — the fast paths run under a budget, charge their arenas
-  // exactly, and fall back to the row tables on a memory trip.
+  // the same code — the columnar filter falls back to the row filter on a
+  // memory trip, and the hash join's one table charges either key encoding
+  // exactly.
   EXPECT_EQ(spilled.ok(), row_spilled.ok())
       << "columnar=" << (spilled.ok() ? "ok" : spilled.status().ToString())
       << " row="
@@ -256,12 +257,47 @@ TEST_F(ColumnarQueryTest, FilterBelowItsScratchRunsTheRowPath) {
   }
 }
 
+/// The first HashJoinOp in `op`'s subtree, or null.
+const HashJoinOp* FindHashJoin(const PhysicalOp* op) {
+  if (const auto* join = dynamic_cast<const HashJoinOp*>(op)) return join;
+  for (const PhysicalOp* child : op->children()) {
+    if (const HashJoinOp* join = FindHashJoin(child)) return join;
+  }
+  return nullptr;
+}
+
+/// Whether `query`'s hash join keeps raw word keys when planned with
+/// `enable_columnar` and run at `threads` under `budget`.
+bool JoinRunsRawKeys(Database* db, const std::string& query,
+                     bool enable_columnar, int threads, uint64_t budget) {
+  auto logical = db->Plan(query, Strategy::kNestJoin);
+  EXPECT_TRUE(logical.ok()) << logical.status().ToString();
+  if (!logical.ok()) return false;
+  PlannerOptions planner_options;
+  planner_options.num_threads = threads;
+  planner_options.enable_columnar = enable_columnar;
+  auto plan = Planner(planner_options).Plan(*logical);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok()) return false;
+  const HashJoinOp* join = FindHashJoin(plan->get());
+  EXPECT_NE(join, nullptr) << "no hash join in the plan";
+  if (join == nullptr) return false;
+  Executor executor(threads);
+  GuardLimits limits;
+  limits.memory_budget_bytes = budget;
+  executor.set_limits(limits);
+  EXPECT_TRUE(executor.RunPhysical(plan->get()).ok());
+  return join->raw_keys();
+}
+
 TEST_F(ColumnarQueryTest, FastPathsEngageUnderTheServiceSlice) {
   // A service request with no budget of its own inherits a 32 MiB
   // admission slice. Under it the columnar filter and the raw-key join must
-  // run — same rows and stats as the row path — not stand down. They
-  // checkpoint on a different schedule from the row path, so identical
-  // guard_checkpoints would mean the row path ran both times.
+  // run — same rows and stats as the row path — not stand down. The filter
+  // checkpoints on a different schedule from the row filter, so identical
+  // guard_checkpoints would mean the row filter ran both times; the join
+  // probes one batch at a time on either key encoding, so its planned
+  // operator reports which encoding it kept.
   for (const char* query : {kSeedQueries[0], kFlatSelection}) {
     for (int threads : {1, 4}) {
       SCOPED_TRACE(std::string(query) + " / threads=" +
@@ -275,7 +311,13 @@ TEST_F(ColumnarQueryTest, FastPathsEngageUnderTheServiceSlice) {
       TMDB_ASSERT_OK_AND_ASSIGN(QueryResult col, db_.Run(query, options));
       EXPECT_TRUE(BitIdentical(col.rows, row.rows));
       EXPECT_TRUE(StatsMatch(col.stats, row.stats));
-      EXPECT_NE(col.stats.guard_checkpoints, row.stats.guard_checkpoints);
+      if (query == kFlatSelection) {
+        EXPECT_NE(col.stats.guard_checkpoints, row.stats.guard_checkpoints);
+      } else {
+        EXPECT_TRUE(JoinRunsRawKeys(&db_, query, true, threads, 32ull << 20));
+        EXPECT_FALSE(
+            JoinRunsRawKeys(&db_, query, false, threads, 32ull << 20));
+      }
     }
   }
 }
@@ -449,14 +491,12 @@ TEST(ColumnarBudgetedFaultTest, FastBuildSpillSweep) {
 }
 
 TEST(ColumnarBudgetedFaultTest, ProbePhaseDegradeSweep) {
-  // A nest join over 4000 build rows sharing 16 keys: the raw-key table's
-  // key and chain arrays (~113 KiB) outweigh the row table's 16 key Values
-  // by far. At 272 KiB the fast build fits, but the nest join's output
-  // trips the budget while the fast table is live, and the query only
-  // completes by degrading to the row table at a streaming batch boundary
-  // (the row path itself fails here: its build holds one key Value per
-  // build row). No spill: at 2 threads the parallel probe's trip must
-  // reach the streaming probe on its own.
+  // A nest join over 4000 build rows sharing 16 keys at 272 KiB, no spill:
+  // a build holding a key per build row (~113 KiB of raw keys and chains,
+  // or one key Value per row) does not fit beside the nest join's output.
+  // The table holds one slot per distinct key, so raw keys and Value keys
+  // (fast_keys = nullopt) must both complete, serially and at 2 threads,
+  // under every checkpoint fault.
   TMDB_ASSERT_OK_AND_ASSIGN(
       auto left, Table::Create("L", Type::Tuple({{"k", Type::Int()},
                                                  {"v", Type::Int()}})));
@@ -483,24 +523,30 @@ TEST(ColumnarBudgetedFaultTest, ProbePhaseDegradeSweep) {
   std::vector<Expr> rk = {Expr::Must(Expr::Field(yv, "j"))};
   std::optional<FastKeySpec> fk = ResolveFastKeys(lk, rk, "x", "y");
   ASSERT_TRUE(fk.has_value());
-  HashJoinOp join(PhysicalOpPtr(new TableScanOp(left)),
-                  PhysicalOpPtr(new TableScanOp(right)), spec, lk, rk, fk);
 
-  for (int threads : {1, 2}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Executor reference(threads);
-    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> unbudgeted,
-                              reference.RunPhysical(&join));
-    FaultInjector injector;
-    Executor executor(threads);
-    GuardLimits limits;
-    limits.memory_budget_bytes = 272 << 10;
-    executor.set_limits(limits);
-    executor.set_fault_injector(&injector);
-    auto run = [&] { return executor.RunPhysical(&join); };
-    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> degraded, run());
-    EXPECT_TRUE(BitIdentical(degraded, unbudgeted));
-    SweepBudgetedFaults(run, &executor, &injector, /*base=*/"");
+  const std::optional<FastKeySpec> encodings[] = {fk, std::nullopt};
+  for (const std::optional<FastKeySpec>& keys : encodings) {
+    HashJoinOp join(PhysicalOpPtr(new TableScanOp(left)),
+                    PhysicalOpPtr(new TableScanOp(right)), spec, lk, rk,
+                    keys);
+    for (int threads : {1, 2}) {
+      SCOPED_TRACE(std::string(keys.has_value() ? "raw" : "value") +
+                   " keys / threads=" + std::to_string(threads));
+      Executor reference(threads);
+      TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> unbudgeted,
+                                reference.RunPhysical(&join));
+      FaultInjector injector;
+      Executor executor(threads);
+      GuardLimits limits;
+      limits.memory_budget_bytes = 272 << 10;
+      executor.set_limits(limits);
+      executor.set_fault_injector(&injector);
+      auto run = [&] { return executor.RunPhysical(&join); };
+      TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> budgeted, run());
+      EXPECT_TRUE(BitIdentical(budgeted, unbudgeted));
+      EXPECT_EQ(join.raw_keys(), keys.has_value());
+      SweepBudgetedFaults(run, &executor, &injector, /*base=*/"");
+    }
   }
 }
 
@@ -877,8 +923,8 @@ TEST_F(ColumnarJoinTest, StringAndRealKeysAndCrossKindProbes) {
 }
 
 TEST_F(ColumnarJoinTest, BuildSideKindDeviationFallsBack) {
-  // A REAL-typed build key that holds an Int value at runtime: the fast
-  // build must abort and the row path take over — same rows either way.
+  // A REAL-typed build key that holds an Int value at runtime: the table
+  // must switch from raw to Value keys mid-build — same rows either way.
   TMDB_ASSERT_OK_AND_ASSIGN(
       auto r, Table::Create("RD", Type::Tuple({{"j", Type::Real()},
                                                {"w", Type::Int()}})));
@@ -909,17 +955,31 @@ TEST_F(ColumnarJoinTest, BuildSideKindDeviationFallsBack) {
   HashJoinOp fast_join(PhysicalOpPtr(new TableScanOp(left_)),
                        PhysicalOpPtr(new TableScanOp(r)), std::move(s2), lk,
                        rk, std::move(fk));
-  Executor reference(1);
-  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> expected,
-                            reference.RunPhysical(&row_join));
-  Executor executor(1);
-  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> actual,
-                            executor.RunPhysical(&fast_join));
-  EXPECT_TRUE(BitIdentical(actual, expected));
-  EXPECT_TRUE(StatsMatch(executor.stats(), reference.stats()));
-  // Both Real(1.0) and the deviating Int(2) build rows join their 7 left
-  // partners each (k = i % 60 over 400 rows → 7 hits per key in [0, 40)).
-  EXPECT_EQ(actual.size(), 14u);
+  // Serial and parallel builds (the switch re-keys with morsels), with and
+  // without a budget the switched table must fit.
+  for (int threads : {1, 2}) {
+    for (uint64_t budget : {uint64_t{0}, uint64_t{256} << 10}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " budget=" + std::to_string(budget));
+      GuardLimits limits;
+      limits.memory_budget_bytes = budget;
+      Executor reference(threads);
+      reference.set_limits(limits);
+      TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> expected,
+                                reference.RunPhysical(&row_join));
+      Executor executor(threads);
+      executor.set_limits(limits);
+      TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> actual,
+                                executor.RunPhysical(&fast_join));
+      EXPECT_TRUE(BitIdentical(actual, expected));
+      EXPECT_TRUE(StatsMatch(executor.stats(), reference.stats()));
+      EXPECT_FALSE(fast_join.raw_keys());
+      // Both Real(1.0) and the deviating Int(2) build rows join their 7
+      // left partners each (k = i % 60 over 400 rows → 7 hits per key in
+      // [0, 40)).
+      EXPECT_EQ(actual.size(), 14u);
+    }
+  }
 }
 
 TEST(ResolveFastKeysTest, KindRules) {

@@ -6,9 +6,9 @@
 //    paths (hash-partition spill, external sort, ν spill, cache overflow);
 //  - parallelism: serial against a 4-thread pool;
 //  - join implementation: hash against sort-merge;
-//  - under a budget, columnar execution on (arena-backed filter and
-//    raw-key hash tables, falling back to the row tables on a memory trip)
-//    against off.
+//  - under a budget, columnar execution on (arena-backed filter falling
+//    back to the row filter on a memory trip, raw word keys in the hash
+//    join's table) against off.
 // Spilling, threading, and join choice are execution details — none of them
 // may change a single row. Serial runs are additionally checked for
 // determinism: repeating one reproduces rows bit for bit and the
@@ -86,9 +86,11 @@ class DifferentialExecTest : public ::testing::Test {
       "WHERE x.c = y.c)";
 
   /// Budget for the spilling cells. Overridable so scripts/tier1.sh can
-  /// sweep the whole matrix across several low-memory settings; any value
-  /// between the hash join's skew bound and the ~3 MiB working set keeps
-  /// every cell green while changing where and how often operators spill.
+  /// sweep the whole matrix across several low-memory settings; values
+  /// from the hash join's skew bound to 560 KiB keep every cell green while
+  /// changing where and how often operators spill. Past that the nest-join
+  /// plans fit in memory (the join table holds one slot per distinct key,
+  /// not the ~3 MiB of build keys) and the "spill engaged" check fails.
   static uint64_t Budget() {
     if (const char* env = std::getenv("TMDB_DIFF_BUDGET_BYTES")) {
       return std::strtoull(env, nullptr, 10);
@@ -245,6 +247,33 @@ TEST_F(DifferentialExecTest, JoinImplementationsAgreeUnderSpill) {
         EXPECT_TRUE(SpillBaseEmpty(base));
         fs::remove_all(base);
       }
+    }
+  }
+}
+
+TEST_F(DifferentialExecTest, ProbeBatchBoundaryTripDivertsToSpill) {
+  // At 548 KiB the hash join's build table fits, but the query's memory
+  // crosses the budget while the join is probing. The trip lands on the
+  // join's batch-boundary checkpoint, which hands the unread left rows to
+  // the Grace path; without that divert every cell here fails.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      QueryResult reference,
+      db_.Run(kQuery, Opts(Strategy::kNaive, 1, false, "")));
+  for (int threads : {1, 4}) {
+    for (bool columnar : {true, false}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (columnar ? "/columnar" : "/row"));
+      const std::string base =
+          MakeSpillBase("diff-divert-t" + std::to_string(threads));
+      RunOptions opts =
+          Opts(Strategy::kNestJoin, threads, true, base, columnar);
+      opts.join_impl = JoinImpl::kHash;
+      opts.memory_budget_bytes = 548 << 10;
+      TMDB_ASSERT_OK_AND_ASSIGN(QueryResult run, db_.Run(kQuery, opts));
+      EXPECT_TRUE(RowsEqual(run.rows, reference.rows));
+      EXPECT_GT(run.stats.spill_partitions, 0u) << run.stats.ToString();
+      EXPECT_TRUE(SpillBaseEmpty(base));
+      fs::remove_all(base);
     }
   }
 }
