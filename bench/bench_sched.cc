@@ -9,10 +9,10 @@
 // dynamic morsel claiming the hot range is ~64 separate morsels that idle
 // threads steal.
 //
-//   BM_StaticSplit/T       one chunk per thread on a legacy ThreadPool
+//   BM_StaticSplit/T       one morsel of n/T rows per thread, cap = T
 //   BM_WorkStealing/T      SplitMorsels + scheduler claim loop, cap = T
-//   BM_Interference*       two concurrent 4-way "queries": two private
-//                          static pools vs two caps on the one scheduler
+//   BM_Interference*       two concurrent 4-way "queries" on the one
+//                          scheduler: static splits vs SplitMorsels
 //   BM_SkewedNestJoinHash  the real operator path end to end at each cap
 //
 // CI caveat: on a single-core host the scheduler has one worker, stealing
@@ -20,9 +20,8 @@
 // "num_cpus" field in BENCH_sched.json records what a run actually had.
 // The >=2x static-vs-stealing gap at T=4 is a multi-core claim.
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -30,7 +29,6 @@
 #include <benchmark/benchmark.h>
 
 #include "base/random.h"
-#include "base/thread_pool.h"
 #include "bench/bench_util.h"
 #include "catalog/table.h"
 #include "exec/basic_ops.h"
@@ -67,27 +65,21 @@ uint64_t DoMorsel(MorselRange m) {
   return acc;
 }
 
-/// The retired dispatch discipline, reconstructed on the legacy ThreadPool:
-/// exactly one contiguous chunk per thread, membership fixed before any
-/// work runs, join on every future.
-uint64_t RunStatic(ThreadPool* pool, int threads) {
+/// The retired dispatch discipline: exactly one contiguous morsel of n/T
+/// rows per thread, fixed before any work runs, so the morsel holding the
+/// hot range is a straggler no idle thread can split.
+std::vector<MorselRange> StaticSplit(int threads) {
   const size_t chunk = (kRows + threads - 1) / threads;
-  std::vector<std::future<uint64_t>> futures;
-  futures.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    const size_t begin = std::min(kRows, t * chunk);
-    const size_t end = std::min(kRows, begin + chunk);
-    futures.push_back(
-        pool->Submit([begin, end] { return DoMorsel({begin, end}); }));
+  std::vector<MorselRange> morsels;
+  for (size_t begin = 0; begin < kRows; begin += chunk) {
+    morsels.push_back({begin, std::min(kRows, begin + chunk)});
   }
-  uint64_t acc = 0;
-  for (auto& f : futures) acc ^= f.get();
-  return acc;
+  return morsels;
 }
 
-uint64_t RunStealing(QuerySched* sched) {
-  const std::vector<MorselRange> morsels =
-      SplitMorsels(kRows, sched->max_parallelism());
+/// Runs `morsels` on the scheduler under `sched`'s cap.
+uint64_t RunMorsels(QuerySched* sched,
+                    const std::vector<MorselRange>& morsels) {
   std::vector<uint64_t> slots(morsels.size(), 0);
   Status status = Scheduler::Global().RunTaskSet(
       sched, morsels.size(), [&](size_t i) {
@@ -100,19 +92,25 @@ uint64_t RunStealing(QuerySched* sched) {
   return acc;
 }
 
+uint64_t RunStatic(QuerySched* sched) {
+  return RunMorsels(sched, StaticSplit(sched->max_parallelism()));
+}
+
+uint64_t RunStealing(QuerySched* sched) {
+  return RunMorsels(sched, SplitMorsels(kRows, sched->max_parallelism()));
+}
+
 void BM_StaticSplit(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  ThreadPool pool(threads);
+  QuerySched sched(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunStatic(&pool, threads));
+    benchmark::DoNotOptimize(RunStatic(&sched));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kRows));
 }
 
 void BM_WorkStealing(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  QuerySched sched(threads);
+  QuerySched sched(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(RunStealing(&sched));
   }
@@ -127,17 +125,17 @@ BENCHMARK(BM_WorkStealing)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 // -------------------------------------------- two-query interference
 
-/// Two concurrent 4-way queries in the old world: each owns a private
-/// 4-thread pool, so the process runs 8 OS threads on however many cores
-/// exist, and neither pool can lend idle threads to the other's straggler.
-void BM_InterferencePrivatePools(benchmark::State& state) {
-  ThreadPool pool_a(4);
-  ThreadPool pool_b(4);
+/// Two concurrent 4-way queries with the old static dispatch, now on the
+/// one scheduler: each query's straggler morsel holds its hot range whole,
+/// so an idle thread has nothing left to steal from it.
+void BM_InterferenceStaticSplit(benchmark::State& state) {
+  QuerySched sched_a(4);
+  QuerySched sched_b(4);
   for (auto _ : state) {
     std::thread query_b([&] {
-      benchmark::DoNotOptimize(RunStatic(&pool_b, 4));
+      benchmark::DoNotOptimize(RunStatic(&sched_b));
     });
-    benchmark::DoNotOptimize(RunStatic(&pool_a, 4));
+    benchmark::DoNotOptimize(RunStatic(&sched_a));
     query_b.join();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -162,7 +160,7 @@ void BM_InterferenceSharedScheduler(benchmark::State& state) {
                           static_cast<int64_t>(2 * kRows));
 }
 
-BENCHMARK(BM_InterferencePrivatePools)
+BENCHMARK(BM_InterferenceStaticSplit)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_InterferenceSharedScheduler)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

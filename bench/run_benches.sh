@@ -14,6 +14,12 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+# The commit benchmarked, read before any BENCH_*.json is rewritten;
+# "-dirty" when the tree had uncommitted changes.
+GIT_SHA="$(git -C "$REPO_ROOT" rev-parse HEAD)"
+if [[ -n "$(git -C "$REPO_ROOT" status --porcelain)" ]]; then
+  GIT_SHA+="-dirty"
+fi
 OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR"' EXIT
 
@@ -46,16 +52,35 @@ run bench_nestjoin_impls \
   --benchmark_filter='BM_(NestJoinHash|OuterJoinThenNest)(T4)?/' \
   --benchmark_enable_random_interleaving=true --benchmark_repetitions=5
 
+# Merges one suite directory into a BENCH_*.json whose context also names
+# the build: the git commit, the CMake build type and the C++ compiler's id
+# and version.
 merge() {
-python3 - "$1" "$2" <<'EOF'
-import json, pathlib, sys
+python3 - "$1" "$2" "$BUILD_DIR" "$GIT_SHA" <<'EOF'
+import json, pathlib, re, sys
 
 out_dir, dest = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+build_dir = pathlib.Path(sys.argv[3])
+
+def cmake_set(text, name):
+    m = re.search(r'set\(' + name + r' "([^"]*)"\)', text)
+    return m.group(1) if m else ""
+
+build = {"git_sha": sys.argv[4]}
+cache = build_dir / "CMakeCache.txt"
+if cache.exists():
+    m = re.search(r"^CMAKE_BUILD_TYPE:STRING=(.*)$", cache.read_text(), re.M)
+    build["cmake_build_type"] = m.group(1) if m else ""
+for cxx in build_dir.glob("CMakeFiles/*/CMakeCXXCompiler.cmake"):
+    text = cxx.read_text()
+    build["compiler_id"] = cmake_set(text, "CMAKE_CXX_COMPILER_ID")
+    build["compiler_version"] = cmake_set(text, "CMAKE_CXX_COMPILER_VERSION")
+
 merged = {"context": None, "suites": {}}
 for path in sorted(out_dir.glob("*.json")):
     data = json.loads(path.read_text())
     if merged["context"] is None:
-        merged["context"] = data.get("context", {})
+        merged["context"] = dict(data.get("context", {}), **build)
     merged["suites"][path.stem] = data.get("benchmarks", [])
 dest.write_text(json.dumps(merged, indent=2) + "\n")
 print(f"wrote {dest}", file=sys.stderr)
@@ -112,21 +137,23 @@ trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR" "$SUBPLAN_OUT_DIR" "$COLUMNAR_OUT_DIR" 
 )
 merge "$STRATEGY_OUT_DIR" "$REPO_ROOT/BENCH_strategy.json"
 
-# Scheduler suite: static per-thread pre-splitting (legacy ThreadPool) vs
-# dynamic morsel stealing on a skewed Table-1 workload at 1/2/4/8 threads,
-# the two-query interference pair, and the real skewed hash nest join end
-# to end. Caveat: on a single-core CI host stealing never fires and the
-# static-vs-stealing gap collapses — read the context "num_cpus" field
+# Scheduler suite: static per-thread pre-splitting (one morsel of n/T rows
+# per thread) vs dynamic morsel stealing on a skewed Table-1 workload at
+# 1/2/4/8 threads, both on the one scheduler, the two-query interference
+# pair, and the real skewed hash nest join end to end, five interleaved
+# repetitions. Caveat: on a single-core CI host stealing never fires and
+# the static-vs-stealing gap collapses — read the context "num_cpus" field
 # before comparing bars across machines.
 SCHED_OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR" "$SUBPLAN_OUT_DIR" "$COLUMNAR_OUT_DIR" "$STRATEGY_OUT_DIR" "$SCHED_OUT_DIR"' EXIT
 (
   OUT_DIR="$SCHED_OUT_DIR"
-  run bench_sched
+  run bench_sched --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
 )
 merge "$SCHED_OUT_DIR" "$REPO_ROOT/BENCH_sched.json"
 
-# Compare the fresh numbers against the committed baselines; warns on >15%
-# real_time regressions (pass --strict via BENCH_DIFF_ARGS to make that
-# fatal in CI).
+# Compare the fresh numbers against the committed baselines; warns on
+# median real_time regressions past max(15%, 2 x cv) (pass --strict via
+# BENCH_DIFF_ARGS to make that fatal in CI).
 python3 "$REPO_ROOT/scripts/bench_diff.py" ${BENCH_DIFF_ARGS:-} || exit 1

@@ -12,10 +12,14 @@ via `git show`, so the script works after bench/run_benches.sh has
 overwritten the working-tree copy with fresh numbers. Files without a
 committed baseline (first run of a new suite) are reported and skipped.
 
-A benchmark regresses when new_time > (1 + threshold) * old_time. By
-default regressions are printed as warnings and the exit code stays 0 so a
-noisy laptop run does not fail the whole bench script; pass --strict to
-exit 1 when any regression is found (for CI).
+Each benchmark is represented by its median over repetitions (the single
+run when there are none). A benchmark regresses when
+new_time > (1 + limit) * old_time, where limit = max(threshold, 2 * cv)
+and cv is the larger coefficient of variation of its repetitions in the
+two files: a change inside twice the run-to-run spread is noise, not a
+regression. By default regressions are printed as warnings and the exit
+code stays 0 so a noisy laptop run does not fail the whole bench script;
+pass --strict to exit 1 when any regression is found (for CI).
 """
 
 import argparse
@@ -41,30 +45,39 @@ def committed_json(ref: str, relpath: str):
     return json.loads(proc.stdout)
 
 
-def benchmark_times(merged: dict) -> dict:
-    """Flattens a merged BENCH_*.json into {(suite, name): real_time}.
+# A change must exceed this many coefficients of variation to count.
+CV_FACTOR = 2.0
+
+
+def benchmark_times(merged: dict):
+    """Flattens a merged BENCH_*.json into ({(suite, name): real_time},
+    {(suite, name): cv}).
 
     When a benchmark ran with repetitions, google-benchmark emits both the
-    per-repetition entries and aggregates; the mean aggregate is preferred
-    and the raw repetitions are dropped so one stable number represents the
-    benchmark.
+    per-repetition entries and aggregates; the median aggregate is preferred
+    (one slow outlier moves a mean, not a median) and the raw repetitions
+    are dropped. The cv aggregate is the repetitions' relative spread.
     """
     times = {}
-    preferred = {}  # keys whose value came from a mean aggregate
+    cvs = {}
+    preferred = {}  # keys whose value came from a median aggregate
     for suite, benchmarks in merged.get("suites", {}).items():
         for entry in benchmarks:
             if "real_time" not in entry:
                 continue
             name = entry.get("run_name", entry.get("name", ""))
             key = (suite, name)
-            if entry.get("aggregate_name") == "mean":
+            aggregate = entry.get("aggregate_name")
+            if aggregate == "median":
                 times[key] = float(entry["real_time"])
                 preferred[key] = True
-            elif entry.get("aggregate_name"):
-                continue  # median/stddev/cv: not a representative time
+            elif aggregate == "cv":
+                cvs[key] = float(entry["real_time"])
+            elif aggregate:
+                continue  # mean/stddev: not the representative time
             elif not preferred.get(key):
                 times[key] = float(entry["real_time"])
-    return times
+    return times, cvs
 
 
 def main() -> int:
@@ -97,30 +110,34 @@ def main() -> int:
                   "(new suite?), skipping")
             continue
         fresh = json.loads(path.read_text())
-        old_times = benchmark_times(baseline)
-        new_times = benchmark_times(fresh)
+        old_times, old_cvs = benchmark_times(baseline)
+        new_times, new_cvs = benchmark_times(fresh)
 
         for key in sorted(new_times):
             if key not in old_times or old_times[key] <= 0:
                 continue
             suite, name = key
             ratio = new_times[key] / old_times[key]
+            cv = max(old_cvs.get(key, 0.0), new_cvs.get(key, 0.0))
+            limit = max(args.threshold, CV_FACTOR * cv)
             tag = "ok"
-            if ratio > 1 + args.threshold:
+            if ratio > 1 + limit:
                 tag = "REGRESSION"
-                regressions.append((relpath, suite, name, ratio))
-            elif ratio < 1 - args.threshold:
+                regressions.append((relpath, suite, name, ratio, limit))
+            elif ratio < 1 - limit:
                 tag = "improved"
             print(f"{relpath}: {suite}/{name}: "
                   f"{old_times[key]:.3g} -> {new_times[key]:.3g} "
-                  f"({(ratio - 1) * 100:+.1f}%) {tag}")
+                  f"({(ratio - 1) * 100:+.1f}%, limit "
+                  f"{limit * 100:.0f}%) {tag}")
 
     if regressions:
-        print(f"\nbench_diff: {len(regressions)} regression(s) over "
-              f"+{args.threshold * 100:.0f}%:", file=sys.stderr)
-        for relpath, suite, name, ratio in regressions:
-            print(f"  {relpath}: {suite}/{name} ({(ratio - 1) * 100:+.1f}%)",
-                  file=sys.stderr)
+        print(f"\nbench_diff: {len(regressions)} regression(s) past "
+              f"max(+{args.threshold * 100:.0f}%, {CV_FACTOR:g} x cv):",
+              file=sys.stderr)
+        for relpath, suite, name, ratio, limit in regressions:
+            print(f"  {relpath}: {suite}/{name} ({(ratio - 1) * 100:+.1f}%, "
+                  f"limit {limit * 100:.0f}%)", file=sys.stderr)
         return 1 if args.strict else 0
     print("bench_diff: no regressions")
     return 0

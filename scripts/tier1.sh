@@ -3,7 +3,7 @@
 # the suites that exercise cross-thread interleavings and error-unwind
 # paths — TSan for races, ASan for leaks/overflows on the fault-injection
 # unwinds (a mid-build abort that leaks shows up here, not in ctest), UBSan
-# for undefined behaviour on the hash join's paths.
+# for undefined behaviour on the shared hash table's paths.
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -36,7 +36,7 @@ cmake --build build-tsan -j --target parallel_exec_test sched_test \
   fault_injection_test \
   spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
   differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test
+  executor_reuse_soak_test join_table_test
 ./build-tsan/tests/parallel_exec_test
 # sched_test is the work-stealing scheduler's own suite: deque discipline,
 # per-query caps, the multi-query soak (several tagged queries sharing the
@@ -57,6 +57,9 @@ cmake --build build-tsan -j --target parallel_exec_test sched_test \
 # on failure they print the TMDB_NET_SEED that reproduces the schedule.
 ./build-tsan/tests/net_service_test
 ./build-tsan/tests/executor_reuse_soak_test
+# join_table_test: the hash join's and ν's one table — morsel builds, and
+# parallel probes filling the shared per-slot sets (claim, wait, publish).
+./build-tsan/tests/join_table_test
 
 # ASan pass over the same suites: every injected fault must unwind without
 # leaking operator, pool, or spill-file state.
@@ -65,7 +68,7 @@ cmake --build build-asan -j --target parallel_exec_test sched_test \
   fault_injection_test \
   spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
   differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test
+  executor_reuse_soak_test join_table_test
 ./build-asan/tests/parallel_exec_test
 ./build-asan/tests/sched_test
 ./build-asan/tests/fault_injection_test
@@ -77,8 +80,10 @@ cmake --build build-asan -j --target parallel_exec_test sched_test \
 ./build-asan/tests/cost_model_test
 ./build-asan/tests/net_service_test
 ./build-asan/tests/executor_reuse_soak_test
+./build-asan/tests/join_table_test
 
-# UBSan pass over the suites that drive the hash join's build table and its
+# UBSan pass over the suites that drive JoinTable — the one hash table of
+# the hash join, the nest join's per-slot sets and ν/ν*'s grouping — on its
 # serial, parallel, spill and fault-unwind paths: signed overflow in key
 # hashing, misaligned or out-of-range slot and chain reads, and invalid
 # enum loads in the key-encoding switches abort the run here.

@@ -89,16 +89,11 @@ Result<LogicalOpPtr> Database::Plan(const std::string& query,
 }
 
 Result<QueryResult> Database::Run(const std::string& query,
-                                  RunOptions options) {
-  Executor executor(options.num_threads);
-  return RunWith(query, options, &executor);
-}
-
-Result<QueryResult> Database::RunWith(const std::string& query,
-                                      const RunOptions& options,
-                                      Executor* executor) {
+                                  const RunOptions& options,
+                                  Executor* executor) {
   TMDB_ASSIGN_OR_RETURN(AstPtr ast, ParseQuery(query));
-  return RunQueryAst(*ast, options, executor);
+  Executor local(options.num_threads);
+  return RunQueryAst(*ast, options, executor != nullptr ? executor : &local);
 }
 
 Result<QueryResult> Database::RunQueryAst(const AstNode& ast,
@@ -222,14 +217,8 @@ std::string StatementResult::ToString(size_t max_rows) const {
 }
 
 Result<StatementResult> Database::Execute(const std::string& statement,
-                                          RunOptions options) {
-  TMDB_ASSIGN_OR_RETURN(StatementPtr parsed, ParseStatement(statement));
-  return ExecuteParsed(*parsed, options);
-}
-
-Result<StatementResult> Database::ExecuteWith(const std::string& statement,
-                                              const RunOptions& options,
-                                              Executor* executor) {
+                                          const RunOptions& options,
+                                          Executor* executor) {
   TMDB_ASSIGN_OR_RETURN(StatementPtr parsed, ParseStatement(statement));
   return ExecuteParsed(*parsed, options, executor);
 }

@@ -140,28 +140,21 @@ class Database {
   Status Insert(const std::string& table, Value row);
 
   /// Parses, binds, rewrites (per options.strategy), physically plans and
-  /// executes `query`.
+  /// executes `query` on `executor`, or on a throwaway one when it is null.
+  /// The governance knobs in `options` are (re)applied to `executor` for
+  /// this call. The server passes one executor per connection for its
+  /// whole life, so another thread can cancel the in-flight query via
+  /// executor->guard()->Cancel().
   Result<QueryResult> Run(const std::string& query,
-                          RunOptions options = RunOptions());
-
-  /// As Run, but executes on the caller's executor instead of a throwaway
-  /// one. The governance knobs in `options` are (re)applied to `executor`
-  /// for this call. This is the server path: each connection keeps one
-  /// executor for its whole life, so worker pools are reused across the
-  /// session's queries and another thread can cancel the in-flight query
-  /// via executor->guard()->Cancel().
-  Result<QueryResult> RunWith(const std::string& query,
-                              const RunOptions& options, Executor* executor);
+                          const RunOptions& options = RunOptions(),
+                          Executor* executor = nullptr);
 
   /// Executes one statement of the data language: CREATE TABLE,
-  /// DEFINE SORT, INSERT INTO ... VALUES, or a query expression.
+  /// DEFINE SORT, INSERT INTO ... VALUES, or a query expression, on
+  /// `executor` as in Run.
   Result<StatementResult> Execute(const std::string& statement,
-                                  RunOptions options = RunOptions());
-
-  /// As Execute, on the caller's (reused) executor — see RunWith.
-  Result<StatementResult> ExecuteWith(const std::string& statement,
-                                      const RunOptions& options,
-                                      Executor* executor);
+                                  const RunOptions& options = RunOptions(),
+                                  Executor* executor = nullptr);
 
   /// Executes a ';'-separated script, stopping at the first error.
   Result<std::vector<StatementResult>> ExecuteScript(
@@ -184,7 +177,7 @@ class Database {
   Result<StatementResult> ExecuteParsed(const Statement& statement,
                                         const RunOptions& options,
                                         Executor* executor = nullptr);
-  /// The single query path behind Run/RunWith/Execute: binds `ast`,
+  /// The single query path behind Run and Execute: binds `ast`,
   /// resolves strategy = auto through the cost model, rewrites, plans and
   /// runs on `executor` (never null here).
   Result<QueryResult> RunQueryAst(const AstNode& ast,

@@ -5,19 +5,45 @@
 
 #include "base/string_util.h"
 #include "exec/parallel_util.h"
+#include "exec/spill_util.h"
 #include "values/value_ops.h"
 
 namespace tmdb {
 
 namespace {
 
-/// Guard check once per kExecBatchSize loop iterations (`i` counts up).
-inline Status PeriodicGuardCheck(const ExecContext* ctx, size_t i) {
-  if ((i & (kExecBatchSize - 1)) == 0) return CheckGuard(ctx);
-  return Status::OK();
+bool HasSubplan(const Expr& e) {
+  switch (e.expr_kind()) {
+    case ExprKind::kLiteral:
+    case ExprKind::kVarRef:
+      return false;
+    case ExprKind::kFieldAccess:
+      return HasSubplan(e.field_base());
+    case ExprKind::kBinary:
+      return HasSubplan(e.lhs()) || HasSubplan(e.rhs());
+    case ExprKind::kUnary:
+      return HasSubplan(e.operand());
+    case ExprKind::kQuantifier:
+      return HasSubplan(e.quant_collection()) || HasSubplan(e.quant_pred());
+    case ExprKind::kAggregate:
+      return HasSubplan(e.agg_arg());
+    case ExprKind::kTupleCtor:
+    case ExprKind::kSetCtor:
+      return std::any_of(e.ctor_elements().begin(), e.ctor_elements().end(),
+                         HasSubplan);
+    case ExprKind::kSubplan:
+      return true;
+  }
+  return true;
 }
 
 }  // namespace
+
+bool HashJoinOp::GroupsPerKey(const JoinSpec& spec) {
+  // A subplan's evaluations are counted in ExecStats, so G must run once
+  // per pair for the stats to stay what they are.
+  return !spec.func.References(spec.left_var) && !HasSubplan(spec.func);
+}
 
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
@@ -28,28 +54,12 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   spilled_ = false;
   build_res_.Reset(ctx->guard);
   table_.Reset(ctx->guard);
-  memo_.clear();
-  memo_enabled_ = false;
-  pred_is_true_ = spec_.pred.is_literal() &&
-                  spec_.pred.literal_value().is_bool() &&
-                  spec_.pred.literal_value().AsBool();
-  func_is_right_ident_ =
-      spec_.func.is_var() && spec_.func.var_name() == spec_.right_var;
 
   TMDB_RETURN_IF_ERROR(BuildTable(ctx));
   if (spilled_) {
     // The spill path consumed both inputs and filled serve_ already.
     return Status::OK();
   }
-  // Nest-join group memo: re-probing an already-grouped slot hands back the
-  // same set value. Serial only (no shared mutation under morsels) and only
-  // without a memory budget — memoised groups are memory no other path
-  // holds, and must not shift when a budget trips.
-  memo_enabled_ = spec_.mode == JoinMode::kNestJoin && pred_is_true_ &&
-                  func_is_right_ident_ && !ctx->parallel_enabled() &&
-                  (ctx->guard == nullptr ||
-                   ctx->guard->limits().memory_budget_bytes == 0);
-  if (memo_enabled_) memo_.resize(table_.num_slots());
   TMDB_RETURN_IF_ERROR(left_->Open(ctx));
 
   // Morsel-parallel probe: subplan-bearing probe expressions are handled
@@ -60,7 +70,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     Status probed = ParallelProbe();
     if (probed.ok()) {
       materialized_ = true;
-    } else if (SpillEligible(ctx, probed)) {
+    } else if (SpillEligibleTrip(ctx, probed)) {
       // The build table fits but materialising the probe side blew the
       // budget. Fall back to the serial probe, which holds one left batch
       // at a time: refund the probe scratch (its values freed on unwind)
@@ -98,7 +108,7 @@ Status HashJoinOp::BuildTable(ExecContext* ctx) {
     }
   }
   if (!drained.ok()) {
-    if (!SpillEligible(ctx, drained)) {
+    if (!SpillEligibleTrip(ctx, drained)) {
       right_->Close();
       return drained;
     }
@@ -108,7 +118,11 @@ Status HashJoinOp::BuildTable(ExecContext* ctx) {
   right_->Close();
 
   Status built = table_.Build(ctx, &rows);
-  if (built.ok() || !SpillEligible(ctx, built)) return built;
+  if (built.ok() && slot_sets_) {
+    built = table_.ReserveSets();
+    if (!built.ok()) rows = table_.TakeRows();
+  }
+  if (built.ok() || !SpillEligibleTrip(ctx, built)) return built;
   // A failed build hands the rows back untouched, so they are salvageable
   // here even though indexing tripped mid-way.
   return SpillBuildAndProbe(ctx, std::move(rows), /*right_open=*/false);
@@ -164,22 +178,33 @@ Status HashJoinOp::ProcessMatch(const JoinTable& table, const Value& left_row,
       return Status::OK();
     }
     case JoinMode::kNestJoin: {
-      std::vector<Value> group;
-      for (uint32_t j = first; j != JoinTable::kNone; j = table.next(j)) {
-        const Value& right_row = table.row(j);
-        TMDB_ASSIGN_OR_RETURN(bool match, eval_pred(right_row));
-        if (match) {
-          if (func_is_right_ident_) {
-            group.push_back(right_row);
-          } else {
-            TMDB_ASSIGN_OR_RETURN(
-                Value g, EvalJoinFunc(spec_, left_row, right_row, ctx));
-            group.push_back(std::move(g));
-          }
+      // G's image of one matching right row.
+      auto image = [&](const Value& right_row,
+                       std::vector<Value>* group) -> Status {
+        if (func_is_right_ident_) {
+          group->push_back(right_row);
+          return Status::OK();
         }
+        TMDB_ASSIGN_OR_RETURN(Value g,
+                              EvalJoinFunc(spec_, left_row, right_row, ctx));
+        group->push_back(std::move(g));
+        return Status::OK();
+      };
+      Value set;
+      if (slot_sets_ && slot != JoinTable::kNone) {
+        uint32_t pairs = 0;
+        TMDB_ASSIGN_OR_RETURN(set, table.SharedSlotSet(slot, image, &pairs));
+        ctx->stats->predicate_evals += pairs;
+      } else {
+        TMDB_ASSIGN_OR_RETURN(
+            set, table.SlotSet(slot, [&](const Value& right_row,
+                                         std::vector<Value>* group) -> Status {
+              TMDB_ASSIGN_OR_RETURN(bool match, eval_pred(right_row));
+              return match ? image(right_row, group) : Status::OK();
+            }));
       }
-      TMDB_ASSIGN_OR_RETURN(Value o, ExtendTuple(left_row, spec_.label,
-                                                 Value::Set(std::move(group))));
+      TMDB_ASSIGN_OR_RETURN(Value o,
+                            ExtendTuple(left_row, spec_.label, std::move(set)));
       out->push_back(std::move(o));
       return Status::OK();
     }
@@ -218,22 +243,6 @@ Status HashJoinOp::ProcessLeftRow(const Value& left_row, ExecContext* ctx,
                                   std::vector<Value>* out) const {
   TMDB_ASSIGN_OR_RETURN(uint32_t slot,
                         ProbeSlot(table_, left_row, nullptr, ctx));
-  if (memo_enabled_ && slot != JoinTable::kNone) {
-    auto& [set, matches] = memo_[slot];
-    if (set.is_null()) {
-      std::vector<Value> group;
-      for (uint32_t j = table_.first(slot); j != JoinTable::kNone;
-           j = table_.next(j)) {
-        group.push_back(table_.row(j));
-        ++matches;
-      }
-      set = Value::Set(std::move(group));
-    }
-    ctx->stats->predicate_evals += matches;
-    TMDB_ASSIGN_OR_RETURN(Value o, ExtendTuple(left_row, spec_.label, set));
-    out->push_back(std::move(o));
-    return Status::OK();
-  }
   return ProcessMatch(table_, left_row, slot, ctx, out);
 }
 
@@ -284,7 +293,7 @@ Result<bool> HashJoinOp::Refill() {
   if (materialized_) return false;
   while (true) {
     if (Status s = CheckGuard(ctx_); !s.ok()) {
-      if (!SpillEligible(ctx_, s)) return s;
+      if (!SpillEligibleTrip(ctx_, s)) return s;
       // The table fit, but what the plan has built since no longer does.
       // Nothing is in flight at a batch boundary, so the Grace path can
       // take over the rest of the left input: the build rows go to disk
@@ -339,8 +348,6 @@ void HashJoinOp::Close() {
   serve_pos_ = 0;
   materialized_ = false;
   spilled_ = false;
-  memo_.clear();
-  memo_enabled_ = false;
   table_.Reset(nullptr);
   build_res_.Release();
   left_->Close();
@@ -359,8 +366,7 @@ std::string HashJoinOp::Describe() const {
   std::string out =
       StrCat("HashJoin<", JoinModeName(spec_.mode), ">[", spec_.left_var, ",",
              spec_.right_var, " : keys(", Join(keys, ", "), ")");
-  if (!(spec_.pred.is_literal() && spec_.pred.literal_value().is_bool() &&
-        spec_.pred.literal_value().AsBool())) {
+  if (!pred_is_true_) {
     out += StrCat(", residual ", spec_.pred.ToString());
   }
   if (spec_.mode == JoinMode::kNestJoin) {

@@ -31,6 +31,14 @@ namespace tmdb {
 /// paper's "simple modification" of the hash join: one more way to consume
 /// a slot's rows.
 ///
+/// A nest join whose residual is literal true and whose G reads neither
+/// the left variable nor a subplan groups once per key: X ▵ Y = ν*(X ⟖ Y)
+/// (Section 6), and such a group depends only on the key. The first probe
+/// of a slot builds its set with JoinTable::SharedSlotSet and every later
+/// probe, serial or parallel, budgeted or not, gets the same Value;
+/// predicate_evals still advances by the slot's size per probe. Other nest
+/// joins build a set per probe from the same JoinTable::SlotSet.
+///
 /// With ExecContext::parallel_enabled(), build keys are evaluated in
 /// morsels and the probe side is materialised and probed in parallel
 /// morsels (each worker evaluates subplan-bearing residuals and G functions
@@ -74,7 +82,12 @@ class HashJoinOp final : public PhysicalOp {
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
         fast_spec_(std::move(fast_keys)),
-        table_(right_keys_, spec_.right_var, raw_spec()) {}
+        table_(right_keys_, spec_.right_var, raw_spec()),
+        pred_is_true_(spec_.pred.Equals(Expr::True())),
+        func_is_right_ident_(spec_.func.is_var() &&
+                             spec_.func.var_name() == spec_.right_var),
+        slot_sets_(spec_.mode == JoinMode::kNestJoin && pred_is_true_ &&
+                   GroupsPerKey(spec_)) {}
 
   Status Open(ExecContext* ctx) override;
   Result<std::optional<Value>> Next() override;
@@ -92,6 +105,8 @@ class HashJoinOp final : public PhysicalOp {
   const FastKeySpec* raw_spec() const {
     return fast_spec_.has_value() ? &*fast_spec_ : nullptr;
   }
+  /// True when G reads neither the left variable nor a subplan.
+  static bool GroupsPerKey(const JoinSpec& spec);
 
   /// Drains the build input into table_, or diverts to the spill path.
   Status BuildTable(ExecContext* ctx);
@@ -122,8 +137,6 @@ class HashJoinOp final : public PhysicalOp {
     std::string probe_path;
   };
 
-  /// True when `s` is a memory-budget trip that spilling can relieve.
-  bool SpillEligible(const ExecContext* ctx, const Status& s) const;
   /// Diverts the build to disk: partitions the salvaged (and any remaining)
   /// build rows plus the probe side, then processes partitions one at a
   /// time into serve_. `right_open` says the build input still has rows;
@@ -168,20 +181,13 @@ class HashJoinOp final : public PhysicalOp {
   // Bytes charged to the guard for build/probe materialisation.
   GuardReservation build_res_;
 
-  // Probe shortcuts, decided at Open: a literal-true residual predicate
-  // still counts one predicate_eval per considered pair, and an identity G
-  // (= right_var) hands back the right row — both exactly what the
-  // evaluator would produce.
-  bool pred_is_true_ = false;
-  bool func_is_right_ident_ = false;
-
-  // Nest-join group memo, one entry per table slot: (group set, match
-  // count), the set null until the slot is first probed. Only enabled
-  // serial + literal-true pred + identity G + no memory budget, so it
-  // cannot race or shift budget behaviour; hits add the recorded match
-  // count to predicate_evals, mirroring re-evaluation.
-  bool memo_enabled_ = false;
-  mutable std::vector<std::pair<Value, uint64_t>> memo_;
+  // Probe shortcuts: a literal-true residual predicate still counts one
+  // predicate_eval per considered pair, and an identity G (= right_var)
+  // hands back the right row — both exactly what the evaluator would
+  // produce. slot_sets_: the nest join shares one set per table slot.
+  const bool pred_is_true_;
+  const bool func_is_right_ident_;
+  const bool slot_sets_;
 };
 
 }  // namespace tmdb

@@ -12,24 +12,15 @@
 #include "base/string_util.h"
 #include "exec/hash_join.h"
 #include "exec/spill_util.h"
-#include "spill/partition.h"
-#include "spill/spill_file.h"
-#include "spill/spill_manager.h"
 #include "spill/value_codec.h"
 
 namespace tmdb {
-
-bool HashJoinOp::SpillEligible(const ExecContext* ctx, const Status& s) const {
-  return SpillEligibleTrip(ctx, s);
-}
 
 Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
                                       std::vector<Value> build_rows,
                                       bool right_open, bool left_open) {
   spilled_ = true;
   materialized_ = true;
-  SpillManager* mgr = ctx->spill;
-  FaultInjector* inj = SpillInjectorOf(ctx);
 
   // Everything the reservation covered either moves to disk below or is
   // freed as it goes — refund it all so the guard's accounting tracks what
@@ -45,14 +36,8 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
     std::string scratch;
 
     // --- build side out ---
-    std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_ASSIGN_OR_RETURN(parts[p].build_path,
-                            mgr->NewFilePath(StrCat("hj-build-d0-p", p)));
-      writers[p] = std::make_unique<SpillWriter>(parts[p].build_path,
-                                                 mgr->block_bytes(), inj);
-      TMDB_RETURN_IF_ERROR(writers[p]->Open());
-    }
+    TMDB_ASSIGN_OR_RETURN(PartitionWriters writers,
+                          OpenPartitionWriters(ctx, "hj-build-d0"));
     auto spill_build_row = [&](Value row) -> Status {
       TMDB_ASSIGN_OR_RETURN(Value key, EvalCompositeKey(right_keys_,
                                                         spec_.right_var,
@@ -61,12 +46,10 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
       scratch.clear();
       EncodeValue(key, &scratch);
       EncodeValue(row, &scratch);
-      TMDB_RETURN_IF_ERROR(writers[p]->Append(scratch));
-      if (writers[p]->TookBlockBoundary()) TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-      return Status::OK();
+      return AppendRecord(ctx, writers[p].get(), scratch);
     };
     for (size_t i = 0; i < build_rows.size(); ++i) {
-      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i));
+      TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx, i));
       Value row = std::move(build_rows[i]);
       build_rows[i] = Value();  // free the rep promptly; memory falls as we go
       TMDB_RETURN_IF_ERROR(spill_build_row(std::move(row)));
@@ -88,21 +71,15 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
       }
     }
     right_->Close();
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_RETURN_IF_ERROR(writers[p]->Finish());
-      ctx->stats->spill_bytes_written += writers[p]->stats().bytes;
-    }
+    TMDB_RETURN_IF_ERROR(FinishPartitionWriters(ctx, writers));
     ctx->stats->spill_partitions += kSpillFanout;
 
     // --- probe side out, co-partitioned on the same hash ---
     if (!left_open) TMDB_RETURN_IF_ERROR(left_->Open(ctx));
-    std::vector<std::unique_ptr<SpillWriter>> pwriters(kSpillFanout);
+    TMDB_ASSIGN_OR_RETURN(PartitionWriters pwriters,
+                          OpenPartitionWriters(ctx, "hj-probe-d0"));
     for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_ASSIGN_OR_RETURN(parts[p].probe_path,
-                            mgr->NewFilePath(StrCat("hj-probe-d0-p", p)));
-      pwriters[p] = std::make_unique<SpillWriter>(parts[p].probe_path,
-                                                  mgr->block_bytes(), inj);
-      TMDB_RETURN_IF_ERROR(pwriters[p]->Open());
+      parts[p] = {writers[p]->path(), pwriters[p]->path()};
     }
     uint64_t tag = 0;  // left-row index from here on; restores output order
     std::vector<Value> batch;
@@ -122,17 +99,11 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
         EncodeValue(key, &scratch);
         EncodeValue(left_row, &scratch);
         left_row = Value();
-        TMDB_RETURN_IF_ERROR(pwriters[p]->Append(scratch));
-        if (pwriters[p]->TookBlockBoundary()) {
-          TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-        }
+        TMDB_RETURN_IF_ERROR(AppendRecord(ctx, pwriters[p].get(), scratch));
       }
     }
     left_->Close();
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_RETURN_IF_ERROR(pwriters[p]->Finish());
-      ctx->stats->spill_bytes_written += pwriters[p]->stats().bytes;
-    }
+    TMDB_RETURN_IF_ERROR(FinishPartitionWriters(ctx, pwriters));
   }
 
   // --- one partition at a time, recursing where one still overflows ---
@@ -182,7 +153,7 @@ Status HashJoinOp::ProcessSpillPartition(
       if (build_reader.TookBlockBoundary()) {
         TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
       }
-      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i++));
+      TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx, i++));
       size_t pos = 0;
       Value key;
       Value row;
@@ -191,16 +162,14 @@ Status HashJoinOp::ProcessSpillPartition(
       TMDB_RETURN_IF_ERROR(slots.Add(sizeof(Value)));
       TMDB_RETURN_IF_ERROR(table.Add(ctx, std::move(row), std::move(key)));
     }
-    return Status::OK();
+    return slot_sets_ ? table.ReserveSets() : Status::OK();
   }();
   ctx->stats->spill_bytes_read += build_reader.stats().bytes;
   build_reader.Close();
   if (!load.ok()) {
     table.Reset(nullptr);
     slots.Release();
-    const bool memory_trip =
-        load.code() == StatusCode::kResourceExhausted &&
-        ctx->guard != nullptr && ctx->guard->last_trip_was_memory();
+    const bool memory_trip = SpillEligibleTrip(ctx, load);
     if (memory_trip && depth < kMaxSpillDepth) {
       return RepartitionAndRecurse(ctx, part, depth, out);
     }
@@ -227,7 +196,7 @@ Status HashJoinOp::ProcessSpillPartition(
       if (probe_reader.TookBlockBoundary()) {
         TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
       }
-      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i++));
+      TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx, i++));
       size_t pos = 0;
       uint64_t tag = 0;
       Value key;
@@ -257,9 +226,7 @@ Status HashJoinOp::ProcessSpillPartition(
     // share — so drop this partition's partial output (refunding its
     // charge) and retry one level deeper. Only when the output alone
     // exhausts the budget does the recursion bottom out and fail.
-    const bool memory_trip =
-        probe.code() == StatusCode::kResourceExhausted &&
-        ctx->guard != nullptr && ctx->guard->last_trip_was_memory();
+    const bool memory_trip = SpillEligibleTrip(ctx, probe);
     if (memory_trip && depth < kMaxSpillDepth) {
       build_res_.Shrink((out->size() - out_base) *
                         sizeof(std::pair<uint64_t, Value>));
@@ -292,16 +259,13 @@ Status HashJoinOp::RepartitionAndRecurse(
     for (int side = 0; side < 2; ++side) {
       const bool is_build = side == 0;
       const std::string& src = is_build ? part.build_path : part.probe_path;
-      std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
+      TMDB_ASSIGN_OR_RETURN(
+          PartitionWriters writers,
+          OpenPartitionWriters(ctx, StrCat("hj-", is_build ? "build" : "probe",
+                                           "-d", depth + 1)));
       for (size_t p = 0; p < kSpillFanout; ++p) {
-        std::string* dst =
-            is_build ? &subparts[p].build_path : &subparts[p].probe_path;
-        TMDB_ASSIGN_OR_RETURN(
-            *dst, mgr->NewFilePath(StrCat("hj-", is_build ? "build" : "probe",
-                                          "-d", depth + 1, "-p", p)));
-        writers[p] =
-            std::make_unique<SpillWriter>(*dst, mgr->block_bytes(), inj);
-        TMDB_RETURN_IF_ERROR(writers[p]->Open());
+        (is_build ? subparts[p].build_path : subparts[p].probe_path) =
+            writers[p]->path();
       }
       SpillReader reader(src, inj);
       Status moved = [&]() -> Status {
@@ -313,7 +277,7 @@ Status HashJoinOp::RepartitionAndRecurse(
           TMDB_RETURN_IF_ERROR(reader.Next(&rec, &eof));
           if (eof) break;
           if (reader.TookBlockBoundary()) TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-          TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i++));
+          TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx, i++));
           // Route on the key alone; the record's bytes move verbatim, so a
           // row is never re-encoded on its way down the recursion.
           size_t pos = 0;
@@ -324,20 +288,14 @@ Status HashJoinOp::RepartitionAndRecurse(
           Value key;
           TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
           const size_t p = SpillPartitionOf(key.Hash(), depth + 1);
-          TMDB_RETURN_IF_ERROR(writers[p]->Append(rec));
-          if (writers[p]->TookBlockBoundary()) {
-            TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-          }
+          TMDB_RETURN_IF_ERROR(AppendRecord(ctx, writers[p].get(), rec));
         }
         return Status::OK();
       }();
       ctx->stats->spill_bytes_read += reader.stats().bytes;
       reader.Close();
       TMDB_RETURN_IF_ERROR(moved);
-      for (size_t p = 0; p < kSpillFanout; ++p) {
-        TMDB_RETURN_IF_ERROR(writers[p]->Finish());
-        ctx->stats->spill_bytes_written += writers[p]->stats().bytes;
-      }
+      TMDB_RETURN_IF_ERROR(FinishPartitionWriters(ctx, writers));
       if (is_build) ctx->stats->spill_partitions += kSpillFanout;
       mgr->RemoveFile(src);
     }

@@ -12,12 +12,6 @@ namespace tmdb {
 
 namespace {
 
-/// Guard check once per kExecBatchSize loop iterations (`i` counts up).
-inline Status PeriodicGuardCheck(const ExecContext* ctx, size_t i) {
-  if ((i & (kExecBatchSize - 1)) == 0) return CheckGuard(ctx);
-  return Status::OK();
-}
-
 template <typename T>
 uint64_t CapacityBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
@@ -36,10 +30,29 @@ void JoinTable::Reset(QueryGuard* guard) {
   values_ = std::vector<Value>();
   buckets_ = std::vector<uint32_t>();
   dict_ = StringDict();
+  sets_ = std::vector<SharedSet>();
   res_.Reset(guard);
 }
 
+JoinTable::KeyFn JoinTable::EvalKey() const {
+  return [this](size_t i, ExecContext* ctx) {
+    return EvalCompositeKey(*keys_, *var_, rows_[i], ctx);
+  };
+}
+
 Status JoinTable::Build(ExecContext* ctx, std::vector<Value>* rows) {
+  return BuildRows(ctx, rows, EvalKey());
+}
+
+Status JoinTable::Build(ExecContext* ctx, std::vector<Value>* rows,
+                        std::vector<Value> keys) {
+  return BuildRows(ctx, rows, [&keys](size_t i, ExecContext*) {
+    return Result<Value>(std::move(keys[i]));
+  });
+}
+
+Status JoinTable::BuildRows(ExecContext* ctx, std::vector<Value>* rows,
+                            const KeyFn& key) {
   Reset(res_.guard());
   rows_ = std::move(*rows);
   rows->clear();
@@ -65,8 +78,8 @@ Status JoinTable::Build(ExecContext* ctx, std::vector<Value>* rows) {
       if (raw_) return Status::OK();
       ClearSlots();
     }
-    return ctx->parallel_enabled() ? IndexValuesParallel(ctx)
-                                   : IndexValues(ctx, n);
+    return ctx->parallel_enabled() ? IndexValuesParallel(ctx, key)
+                                   : IndexValues(ctx, n, key);
   }();
   if (!built.ok()) {
     // Indexing never moves or mutates a row, so they go back as they came.
@@ -102,7 +115,7 @@ Status JoinTable::Add(ExecContext* ctx, Value row, Value key) {
     // The raw kind check failed: re-key the rows seen so far.
     raw_ = false;
     ClearSlots();
-    TMDB_RETURN_IF_ERROR(IndexValues(ctx, i));
+    TMDB_RETURN_IF_ERROR(IndexValues(ctx, i, EvalKey()));
   }
   const uint64_t hash = Mix64(key.Hash());
   TMDB_ASSIGN_OR_RETURN(uint32_t slot, InternKey(std::move(key), hash));
@@ -212,20 +225,19 @@ void JoinTable::ClearSlots() {
   dict_ = StringDict();
 }
 
-Status JoinTable::IndexValues(ExecContext* ctx, size_t n) {
+Status JoinTable::IndexValues(ExecContext* ctx, size_t n, const KeyFn& key) {
   for (size_t i = 0; i < n; ++i) {
     TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx, i));
-    TMDB_ASSIGN_OR_RETURN(Value key,
-                          EvalCompositeKey(keys_, var_, rows_[i], ctx));
-    const uint64_t hash = Mix64(key.Hash());
-    TMDB_ASSIGN_OR_RETURN(uint32_t slot, InternKey(std::move(key), hash));
+    TMDB_ASSIGN_OR_RETURN(Value k, key(i, ctx));
+    const uint64_t hash = Mix64(k.Hash());
+    TMDB_ASSIGN_OR_RETURN(uint32_t slot, InternKey(std::move(k), hash));
     Link(static_cast<uint32_t>(i), slot);
   }
   return Status::OK();
 }
 
-Status JoinTable::IndexValuesParallel(ExecContext* ctx) {
-  // Stage 1 (morsels): each morsel evaluates its rows' keys into a table of
+Status JoinTable::IndexValuesParallel(ExecContext* ctx, const KeyFn& key) {
+  // Stage 1 (morsels): each morsel interns its rows' keys into a table of
   // its own, which keeps one Value per distinct key, and parks each row's
   // morsel-local slot in next_.
   const size_t n = rows_.size();
@@ -243,7 +255,7 @@ Status JoinTable::IndexValuesParallel(ExecContext* ctx) {
     std::vector<std::unique_ptr<JoinTable>> tables;
   } locals;
   for (size_t m = 0; m < morsels.size(); ++m) {
-    locals.tables.push_back(std::make_unique<JoinTable>(keys_, var_, nullptr));
+    locals.tables.push_back(std::make_unique<JoinTable>());
     locals.tables.back()->Reset(res_.guard());
   }
   TMDB_RETURN_IF_ERROR(ParallelForMorsels(
@@ -258,12 +270,10 @@ Status JoinTable::IndexValuesParallel(ExecContext* ctx) {
         JoinTable& local = *locals.tables[m];
         for (size_t i = range.begin; i < range.end; ++i) {
           TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(&wctx, i - range.begin));
-          TMDB_ASSIGN_OR_RETURN(Value key,
-                                EvalCompositeKey(keys_, var_, rows_[i], &wctx));
-          const uint64_t hash = Mix64(key.Hash());
+          TMDB_ASSIGN_OR_RETURN(Value k, key(i, &wctx));
+          const uint64_t hash = Mix64(k.Hash());
           // Disjoint: row i's link is written by exactly one morsel.
-          TMDB_ASSIGN_OR_RETURN(next_[i],
-                                local.InternKey(std::move(key), hash));
+          TMDB_ASSIGN_OR_RETURN(next_[i], local.InternKey(std::move(k), hash));
         }
         return Status::OK();
       }));
@@ -291,11 +301,16 @@ Status JoinTable::IndexValuesParallel(ExecContext* ctx) {
   return Status::OK();
 }
 
+Status JoinTable::ReserveSets() {
+  sets_ = std::vector<SharedSet>(num_slots());
+  return Recharge();
+}
+
 Status JoinTable::Recharge() {
   const uint64_t bytes =
       CapacityBytes(next_) + CapacityBytes(hash_) + CapacityBytes(words_) +
       CapacityBytes(values_) + CapacityBytes(head_) + CapacityBytes(tail_) +
-      CapacityBytes(chain_) + CapacityBytes(buckets_);
+      CapacityBytes(chain_) + CapacityBytes(buckets_) + CapacityBytes(sets_);
   if (bytes <= res_.held()) return Status::OK();
   return res_.Add(bytes - res_.held());
 }

@@ -1,8 +1,10 @@
 #ifndef TMDB_EXEC_JOIN_TABLE_H_
 #define TMDB_EXEC_JOIN_TABLE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,11 +18,13 @@
 
 namespace tmdb {
 
-/// The hash join's build table, shared by the serial build, the parallel
-/// build and every Grace partition.
+/// The one hash table of the hash join, ν and ν*: the hash join's serial
+/// and parallel builds and every Grace partition, and the grouping of ν and
+/// ν* in memory and in each spill partition.
 ///
-/// It holds one slot per distinct build key. A slot's rows are chained in
-/// build-input order, so every probe sees its matches in the order the row
+/// It holds one slot per distinct key. A slot's rows are chained in
+/// input order and slots are numbered by first occurrence, so a probe sees
+/// its matches, and ν its groups and their elements, in the order the row
 /// path has always produced them. The key encoding is chosen from the data
 /// while the table is built — no option selects it:
 ///   - raw: one 64-bit word per slot (the i64, the canonical f64 bits with
@@ -30,15 +34,23 @@ namespace tmdb {
 ///   - Value: the composite key Value, compared with Value::Hash and
 ///     Value::Equals, so Int(1) and Real(1.0) share a slot.
 /// A build key that fails the raw kind check switches the table to the
-/// Value encoding mid-build; the rows seen so far are re-keyed.
+/// Value encoding mid-build; the rows seen so far are re-keyed. A table
+/// made with the default constructor is keyed by the caller (ν passes its
+/// group key tuples) and always uses the Value encoding.
+///
+/// SlotSet is the one grouping step: the set of a slot's row images. The
+/// nest join shares one set per slot between all its probes through
+/// SharedSlotSet (Section 6: X ▵ Y = ν*(X ⟖ Y), so when the group depends
+/// only on the key it is built once per key).
 ///
 /// The table charges its own arrays (per-row chain links; per-slot keys,
-/// hashes, heads, tails and bucket links; the bucket heads) to the guard
-/// as they grow. It holds no per-row key. The build rows themselves are the
-/// caller's to charge, as are the key Values' reps, which the guard's Value
-/// tracker already sees.
+/// hashes, heads, tails, bucket links and shared sets; the bucket heads)
+/// to the guard as they grow. It holds no per-row key. The rows themselves
+/// are the caller's to charge, as are the key Values' reps, which the
+/// guard's Value tracker already sees.
 ///
-/// Not thread-safe to build; probing a built table is read-only.
+/// Not thread-safe to build; reading a built table, SharedSlotSet
+/// included, is.
 class JoinTable {
  public:
   /// Sentinel for "no slot" and "end of chain".
@@ -48,7 +60,9 @@ class JoinTable {
   /// null) offers the one-word encoding. All three must outlive the table.
   JoinTable(const std::vector<Expr>& keys, const std::string& var,
             const FastKeySpec* raw)
-      : keys_(keys), var_(var), raw_spec_(raw) {}
+      : keys_(&keys), var_(&var), raw_spec_(raw) {}
+  /// A table whose keys the caller passes in (Build with keys, Add).
+  JoinTable() = default;
 
   JoinTable(const JoinTable&) = delete;
   JoinTable& operator=(const JoinTable&) = delete;
@@ -63,10 +77,14 @@ class JoinTable {
   /// the spill path. Value keys are evaluated in morsels when `ctx` is
   /// parallel.
   Status Build(ExecContext* ctx, std::vector<Value>* rows);
+  /// As Build, with row i keyed by keys[i] (Value encoding). The keys are
+  /// interned in morsels when `ctx` is parallel.
+  Status Build(ExecContext* ctx, std::vector<Value>* rows,
+               std::vector<Value> keys);
 
-  /// Appends one build row whose composite key the caller already holds
-  /// (a spill partition decodes it with the row). The raw encoding reads
-  /// the key from the row itself and ignores `key`.
+  /// Appends one row whose composite key the caller already holds (a spill
+  /// partition decodes it with the row). The raw encoding reads the key
+  /// from the row itself and ignores `key`.
   Status Add(ExecContext* ctx, Value row, Value key);
 
   /// Empties the table (refunding its charge) and hands back its rows in
@@ -89,6 +107,24 @@ class JoinTable {
   }
   uint32_t next(uint32_t row) const { return next_[row]; }
   const Value& row(uint32_t row) const { return rows_[row]; }
+  /// The key of `slot` (Value encoding).
+  const Value& key(uint32_t slot) const { return values_[slot]; }
+
+  /// The set of the images of `slot`'s rows: image(row, &elems) appends
+  /// zero or more elements per row, in chain order. kNone gives ∅.
+  template <typename Image>
+  Result<Value> SlotSet(uint32_t slot, Image image) const;
+
+  /// Makes room for one shared set per slot; call once the table is built.
+  Status ReserveSets();
+  /// SlotSet of `slot` (not kNone), built by its first caller and handed to
+  /// every later and concurrent one, with the slot's row count in `*rows`.
+  /// A concurrent caller waits for the set. A failed build stores nothing:
+  /// the next caller builds again and meets the same error, so an error in
+  /// `image` reaches every caller of that slot.
+  template <typename Image>
+  Result<Value> SharedSlotSet(uint32_t slot, Image image,
+                              uint32_t* rows) const;
 
   size_t num_rows() const { return rows_.size(); }
   size_t num_slots() const { return hash_.size(); }
@@ -115,16 +151,32 @@ class JoinTable {
   void Link(uint32_t i, uint32_t slot);
   /// Drops every slot (and the dictionary), keeping the rows.
   void ClearSlots();
+  /// The composite key of row i, evaluated under the given context.
+  using KeyFn = std::function<Result<Value>(size_t, ExecContext*)>;
+  /// Builds from `*rows` keyed by `key` (see Build).
+  Status BuildRows(ExecContext* ctx, std::vector<Value>* rows,
+                   const KeyFn& key);
+  /// EvalCompositeKey of row i.
+  KeyFn EvalKey() const;
   /// Keys rows [0, n) by their composite key Values, serially or (every
   /// row) in morsels, into a table with no slots.
-  Status IndexValues(ExecContext* ctx, size_t n);
-  Status IndexValuesParallel(ExecContext* ctx);
+  Status IndexValues(ExecContext* ctx, size_t n, const KeyFn& key);
+  Status IndexValuesParallel(ExecContext* ctx, const KeyFn& key);
   /// Charges any growth of the table's arrays since the last charge.
   Status Recharge();
 
-  const std::vector<Expr>& keys_;
-  const std::string& var_;
-  const FastKeySpec* raw_spec_;
+  const std::vector<Expr>* keys_ = nullptr;
+  const std::string* var_ = nullptr;
+  const FastKeySpec* raw_spec_ = nullptr;
+
+  /// One slot's shared set; `state` moves kSetEmpty -> kSetBuilding ->
+  /// kSetReady, or back to kSetEmpty when the build fails.
+  enum : uint32_t { kSetEmpty, kSetBuilding, kSetReady };
+  struct SharedSet {
+    std::atomic<uint32_t> state{kSetEmpty};
+    uint32_t rows = 0;
+    Value set;
+  };
 
   // Slots are parallel arrays: a raw probe that misses reads a bucket head
   // and at most a few words and chain links, never the rows.
@@ -139,6 +191,7 @@ class JoinTable {
   std::vector<uint32_t> chain_;    // per slot: next slot in its bucket
   std::vector<uint32_t> buckets_;  // hash -> first slot of its chain
   StringDict dict_;                // raw string keys -> codes
+  mutable std::vector<SharedSet> sets_;  // per slot, after ReserveSets
   GuardReservation res_;
 };
 
@@ -152,6 +205,42 @@ inline uint64_t F64Word(double d) {
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
   return bits;
+}
+
+template <typename Image>
+Result<Value> JoinTable::SlotSet(uint32_t slot, Image image) const {
+  std::vector<Value> elems;
+  for (uint32_t j = first(slot); j != kNone; j = next(j)) {
+    TMDB_RETURN_IF_ERROR(image(rows_[j], &elems));
+  }
+  return Value::Set(std::move(elems));
+}
+
+template <typename Image>
+Result<Value> JoinTable::SharedSlotSet(uint32_t slot, Image image,
+                                       uint32_t* rows) const {
+  SharedSet& shared = sets_[slot];
+  uint32_t state = shared.state.load(std::memory_order_acquire);
+  while (state != kSetReady) {
+    if (state == kSetBuilding) {
+      shared.state.wait(kSetBuilding, std::memory_order_acquire);
+    } else if (shared.state.compare_exchange_weak(
+                   state, kSetBuilding, std::memory_order_acquire)) {
+      Result<Value> set = SlotSet(slot, image);
+      if (set.ok()) {
+        shared.set = *set;
+        shared.rows = 0;
+        for (uint32_t j = first(slot); j != kNone; j = next(j)) ++shared.rows;
+      }
+      shared.state.store(set.ok() ? kSetReady : kSetEmpty,
+                         std::memory_order_release);
+      shared.state.notify_all();
+      if (!set.ok()) return set.status();
+    }
+    state = shared.state.load(std::memory_order_acquire);
+  }
+  *rows = shared.rows;
+  return shared.set;
 }
 
 template <typename Eq>

@@ -156,7 +156,7 @@ Status MergeJoinOp::ExternalSortSide(PhysicalOp* source,
   };
 
   for (size_t i = 0; i < salvaged.size(); ++i) {
-    TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, i));
+    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, i));
     Value row = std::move(salvaged[i]);
     salvaged[i] = Value();  // free the rep promptly; memory falls as we go
     TMDB_RETURN_IF_ERROR(add_row(std::move(row)));

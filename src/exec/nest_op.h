@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/join_table.h"
 #include "exec/physical_op.h"
 #include "exec/query_guard.h"
 #include "expr/expr.h"
@@ -22,20 +23,23 @@ namespace tmdb {
 /// the Ganski–Wong outerjoin strategy equivalent to the nest join (paper,
 /// Section 6, "Algebraic Properties").
 ///
-/// With ExecContext::parallel_enabled() and a subplan-free element
-/// expression, grouping is hash-partitioned: workers evaluate keys/elements
-/// over morsels, then each of `num_threads` workers groups one disjoint
-/// partition; groups are merged by first-occurrence row index, reproducing
-/// the serial output (group insertion order) exactly.
+/// Grouping goes through JoinTable (join_table.h), the hash join's table,
+/// keyed by the group key tuples: each row's key and element image are
+/// evaluated in input order (in morsels when ExecContext::parallel_enabled(),
+/// each worker with its own forked subplan evaluator), the elements are
+/// chained per key slot, and one tuple per slot is emitted in slot order,
+/// which is the order of first occurrence. Each set is JoinTable::SlotSet of
+/// its slot, built in morsels over slots when parallel. Serial and parallel
+/// runs take the same path and give the same rows and stats.
 ///
 /// Memory-bounded execution: a spill-eligible memory trip during the drain
-/// or the grouping (serial and parallel paths alike) degrades to
-/// Grace-style partitioned grouping on disk — rows are hash-partitioned by
-/// group key into spill files tagged with their input row index, each
-/// partition is grouped in read order (= input order), a partition whose
-/// group state still overflows repartitions recursively, and the collected
-/// group tuples are stable-sorted by first-occurrence tag, reproducing the
-/// serial group insertion order bit for bit.
+/// or the grouping degrades to Grace-style partitioned grouping on disk —
+/// rows are hash-partitioned by group key into spill files tagged with
+/// their input row index, each partition is grouped in read order (= input
+/// order) into a JoinTable of its own, a partition whose group state still
+/// overflows repartitions recursively, and the collected group tuples are
+/// stable-sorted by first-occurrence tag, reproducing the in-memory group
+/// order bit for bit.
 class NestOp final : public PhysicalOp {
  public:
   NestOp(PhysicalOpPtr child, std::vector<std::string> group_attrs,
@@ -58,10 +62,13 @@ class NestOp final : public PhysicalOp {
   }
 
  private:
-  /// Both grouping paths read `*rows` without disturbing it, so a memory
-  /// trip mid-grouping leaves the caller's rows intact for the spill path.
-  Status OpenSerial(std::vector<Value>* rows);
-  Status OpenParallel(std::vector<Value>* rows);
+  /// Groups `*rows` into output_. Reads the rows without disturbing them,
+  /// so a memory trip mid-grouping leaves them intact for the spill path.
+  Status Group(const std::vector<Value>& rows);
+  /// The group key tuple of `row`.
+  Result<Value> KeyOf(const Value& row) const;
+  /// The output tuple of `slot`: its key extended with its element set.
+  Result<Value> GroupTuple(const JoinTable& table, uint32_t slot) const;
 
   /// Spill path (nest_op_spill.cc): partitions `rows` plus the rest of the
   /// child (when !drained) to disk and groups partition by partition.

@@ -1,21 +1,21 @@
 // Grace-style spill path of NestOp (ν and ν*). Engaged by Open when a
-// memory trip during the drain or the grouping is spill-eligible; serial
-// and parallel grouping paths both divert here (the spill path itself is
-// serial, and its tag discipline reproduces the same output either way).
+// memory trip during the drain or the grouping is spill-eligible, at any
+// thread count (the spill path itself is serial, and its tag discipline
+// reproduces the in-memory output either way).
 //
 // Rows are hash-partitioned by group key into spill files, each record
 // carrying its input row index as a varint tag plus the encoded key and
 // element image. A partition is grouped in read order — which equals input
 // order, because writes are sequential and repartitioning moves records
 // verbatim — so element order inside each group matches the in-memory
-// paths. Group tuples collect as (first-occurrence tag, row) pairs and a
-// final stable sort by tag restores the serial group insertion order bit
-// for bit.
+// paths: each partition groups into a JoinTable of its own, like the
+// in-memory path. Group tuples collect as (first-occurrence tag, row) pairs
+// and a final stable sort by tag restores the in-memory group order bit for
+// bit.
 
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,17 +23,12 @@
 #include "exec/nest_op.h"
 #include "exec/spill_util.h"
 #include "expr/eval.h"
-#include "spill/partition.h"
-#include "spill/spill_file.h"
-#include "spill/spill_manager.h"
 #include "spill/value_codec.h"
 #include "values/value_ops.h"
 
 namespace tmdb {
 
 Status NestOp::SpillGroup(std::vector<Value> rows, bool drained) {
-  SpillManager* mgr = ctx_->spill;
-  FaultInjector* inj = SpillInjectorOf(ctx_);
 
   // Everything the reservation covered either moves to disk below or is
   // freed as it goes — refund it all so the guard tracks actual residency.
@@ -45,23 +40,12 @@ Status NestOp::SpillGroup(std::vector<Value> rows, bool drained) {
     // deadline, max_rows, and injected faults stay live).
     MemoryCheckSuspension suspend(ctx_->guard);
     std::string scratch;
-    std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_ASSIGN_OR_RETURN(parts[p],
-                            mgr->NewFilePath(StrCat("nest-d0-p", p)));
-      writers[p] =
-          std::make_unique<SpillWriter>(parts[p], mgr->block_bytes(), inj);
-      TMDB_RETURN_IF_ERROR(writers[p]->Open());
-    }
+    TMDB_ASSIGN_OR_RETURN(PartitionWriters writers,
+                          OpenPartitionWriters(ctx_, "nest-d0"));
+    for (size_t p = 0; p < kSpillFanout; ++p) parts[p] = writers[p]->path();
     uint64_t tag = 0;  // input row index; restores group insertion order
     auto spill_row = [&](const Value& row) -> Status {
-      std::vector<Value> key_values;
-      key_values.reserve(group_attrs_.size());
-      for (const std::string& attr : group_attrs_) {
-        TMDB_ASSIGN_OR_RETURN(Value v, row.Field(attr));
-        key_values.push_back(std::move(v));
-      }
-      Value key = Value::Tuple(group_attrs_, std::move(key_values));
+      TMDB_ASSIGN_OR_RETURN(Value key, KeyOf(row));
       // The element image is evaluated here, once per row in input order —
       // the same evaluation sequence as the serial in-memory path — and
       // spilled, so a group's elements never need to be resident together
@@ -74,14 +58,10 @@ Status NestOp::SpillGroup(std::vector<Value> rows, bool drained) {
       PutVarint(tag++, &scratch);
       EncodeValue(key, &scratch);
       EncodeValue(elem, &scratch);
-      TMDB_RETURN_IF_ERROR(writers[p]->Append(scratch));
-      if (writers[p]->TookBlockBoundary()) {
-        TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-      }
-      return Status::OK();
+      return AppendRecord(ctx_, writers[p].get(), scratch);
     };
     for (size_t i = 0; i < rows.size(); ++i) {
-      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, i));
+      TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, i));
       Value row = std::move(rows[i]);
       rows[i] = Value();  // free the rep promptly; memory falls as we go
       TMDB_RETURN_IF_ERROR(spill_row(row));
@@ -105,10 +85,7 @@ Status NestOp::SpillGroup(std::vector<Value> rows, bool drained) {
       }
     }
     child_->Close();
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_RETURN_IF_ERROR(writers[p]->Finish());
-      ctx_->stats->spill_bytes_written += writers[p]->stats().bytes;
-    }
+    TMDB_RETURN_IF_ERROR(FinishPartitionWriters(ctx_, writers));
     ctx_->stats->spill_partitions += kSpillFanout;
   }
 
@@ -147,10 +124,9 @@ Status NestOp::ProcessNestPartition(
   size_t keys_seen = 0;
   auto load_and_emit = [&](bool forced) -> Status {
     MemoryCheckSuspension suspend(forced ? ctx_->guard : nullptr);
-    std::unordered_map<Value, size_t, ValueHash, ValueEq> group_index;
-    std::vector<Value> keys;
-    std::vector<std::vector<Value>> groups;
-    std::vector<uint64_t> first_tag;
+    JoinTable table;
+    table.Reset(ctx_->guard);
+    std::vector<uint64_t> first_tag;  // per slot
     GuardReservation slots;
     slots.Reset(ctx_->guard);
     SpillReader reader(path, inj);
@@ -165,7 +141,7 @@ Status NestOp::ProcessNestPartition(
         if (reader.TookBlockBoundary()) {
           TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
         }
-        TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, i++));
+        TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, i++));
         size_t pos = 0;
         uint64_t tag = 0;
         Value key;
@@ -174,23 +150,15 @@ Status NestOp::ProcessNestPartition(
         TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
         TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &elem));
         TMDB_RETURN_IF_ERROR(slots.Add(2 * sizeof(Value)));
-        auto [it, inserted] = group_index.emplace(key, groups.size());
-        if (inserted) {
-          keys.push_back(std::move(key));
-          groups.emplace_back();
-          first_tag.push_back(tag);
-        }
-        if (!(null_group_to_empty_ && IsNullPadding(elem))) {
-          groups[it->second].push_back(std::move(elem));
-        }
+        const size_t groups = table.num_slots();
+        TMDB_RETURN_IF_ERROR(table.Add(ctx_, std::move(elem), std::move(key)));
+        if (table.num_slots() > groups) first_tag.push_back(tag);
       }
       // Emit this partition's groups; the output rows are resident state
       // and charge the operator's main reservation.
-      for (size_t g = 0; g < keys.size(); ++g) {
-        TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, g));
-        TMDB_ASSIGN_OR_RETURN(
-            Value row,
-            ExtendTuple(keys[g], label_, Value::Set(std::move(groups[g]))));
+      for (uint32_t g = 0; g < table.num_slots(); ++g) {
+        TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, g));
+        TMDB_ASSIGN_OR_RETURN(Value row, GroupTuple(table, g));
         TMDB_RETURN_IF_ERROR(
             build_res_.Add(sizeof(std::pair<uint64_t, Value>)));
         out->emplace_back(first_tag[g], std::move(row));
@@ -199,17 +167,15 @@ Status NestOp::ProcessNestPartition(
     }();
     ctx_->stats->spill_bytes_read += reader.stats().bytes;
     reader.Close();
-    keys_seen = group_index.size();  // partial on failure = keys at trip time
+    keys_seen = table.num_slots();  // partial on failure = keys at trip time
+    table.Reset(nullptr);
     slots.Release();
     return load;
   };
 
   Status load = load_and_emit(/*forced=*/false);
   if (!load.ok()) {
-    const bool memory_trip =
-        load.code() == StatusCode::kResourceExhausted &&
-        ctx_->guard != nullptr && ctx_->guard->last_trip_was_memory();
-    if (!memory_trip) return load;
+    if (!SpillEligibleTrip(ctx_, load)) return load;
     // Drop this pass's partial output, refunding its charge; the spill file
     // is only removed on success, so the retry re-reads it cleanly.
     build_res_.Shrink((out->size() - out_base) *
@@ -229,20 +195,14 @@ Status NestOp::ProcessNestPartition(
 
 Status NestOp::RepartitionNest(const std::string& path, int depth,
                                std::vector<std::pair<uint64_t, Value>>* out) {
-  SpillManager* mgr = ctx_->spill;
-  FaultInjector* inj = SpillInjectorOf(ctx_);
+  SpillReader reader(path, SpillInjectorOf(ctx_));
   std::vector<std::string> subparts(kSpillFanout);
   {
     MemoryCheckSuspension suspend(ctx_->guard);
-    std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_ASSIGN_OR_RETURN(
-          subparts[p], mgr->NewFilePath(StrCat("nest-d", depth + 1, "-p", p)));
-      writers[p] =
-          std::make_unique<SpillWriter>(subparts[p], mgr->block_bytes(), inj);
-      TMDB_RETURN_IF_ERROR(writers[p]->Open());
-    }
-    SpillReader reader(path, inj);
+    TMDB_ASSIGN_OR_RETURN(
+        PartitionWriters writers,
+        OpenPartitionWriters(ctx_, StrCat("nest-d", depth + 1)));
+    for (size_t p = 0; p < kSpillFanout; ++p) subparts[p] = writers[p]->path();
     Status moved = [&]() -> Status {
       TMDB_RETURN_IF_ERROR(reader.Open());
       size_t i = 0;
@@ -252,7 +212,7 @@ Status NestOp::RepartitionNest(const std::string& path, int depth,
         TMDB_RETURN_IF_ERROR(reader.Next(&rec, &eof));
         if (eof) break;
         if (reader.TookBlockBoundary()) TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-        TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, i++));
+        TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, i++));
         // Route on the key alone; the record's bytes move verbatim, so read
         // order stays input order all the way down the recursion.
         size_t pos = 0;
@@ -261,22 +221,16 @@ Status NestOp::RepartitionNest(const std::string& path, int depth,
         TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
         TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
         const size_t p = SpillPartitionOf(key.Hash(), depth + 1);
-        TMDB_RETURN_IF_ERROR(writers[p]->Append(rec));
-        if (writers[p]->TookBlockBoundary()) {
-          TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-        }
+        TMDB_RETURN_IF_ERROR(AppendRecord(ctx_, writers[p].get(), rec));
       }
       return Status::OK();
     }();
     ctx_->stats->spill_bytes_read += reader.stats().bytes;
     reader.Close();
     TMDB_RETURN_IF_ERROR(moved);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_RETURN_IF_ERROR(writers[p]->Finish());
-      ctx_->stats->spill_bytes_written += writers[p]->stats().bytes;
-    }
+    TMDB_RETURN_IF_ERROR(FinishPartitionWriters(ctx_, writers));
     ctx_->stats->spill_partitions += kSpillFanout;
-    mgr->RemoveFile(path);
+    ctx_->spill->RemoveFile(path);
   }
   for (size_t p = 0; p < kSpillFanout; ++p) {
     TMDB_RETURN_IF_ERROR(ProcessNestPartition(subparts[p], depth + 1, out));

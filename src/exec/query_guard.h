@@ -8,6 +8,7 @@
 #include "base/fault_injector.h"
 #include "base/status.h"
 #include "exec/exec_context.h"
+#include "exec/physical_op.h"
 
 namespace tmdb {
 
@@ -188,6 +189,13 @@ class MemoryCheckSuspension {
 inline Status CheckGuard(const ExecContext* ctx) {
   if (ctx == nullptr || ctx->guard == nullptr) return Status::OK();
   return ctx->guard->Check();
+}
+
+/// CheckGuard once per kExecBatchSize loop iterations (`i` counts up): the
+/// row-granularity half of the checkpoint invariant.
+inline Status PeriodicGuardCheck(const ExecContext* ctx, size_t i) {
+  if ((i & (kExecBatchSize - 1)) == 0) return CheckGuard(ctx);
+  return Status::OK();
 }
 
 /// Tracks the bytes one operator has charged to a guard for materialised

@@ -241,11 +241,11 @@ class QueryServer::Session {
       if (write_statement) {
         std::unique_lock<std::shared_mutex> db_lock(server_->db_mu_);
         outcome.emplace(
-            server_->db_->ExecuteWith(request.query, options, &executor_));
+            server_->db_->Execute(request.query, options, &executor_));
       } else {
         std::shared_lock<std::shared_mutex> db_lock(server_->db_mu_);
         outcome.emplace(
-            server_->db_->ExecuteWith(request.query, options, &executor_));
+            server_->db_->Execute(request.query, options, &executor_));
       }
       done.store(true, std::memory_order_release);
     });

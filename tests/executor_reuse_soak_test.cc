@@ -156,7 +156,7 @@ class ExecutorReuseSoakTest : public ::testing::Test {
           break;
       }
 
-      Result<QueryResult> result = db_.RunWith(query, options, &executor);
+      Result<QueryResult> result = db_.Run(query, options, &executor);
       if (canceller.joinable()) canceller.join();
       injector.Disarm();
 
@@ -226,7 +226,7 @@ TEST_F(ExecutorReuseSoakTest, SpillTripThenCleanQueryStaysIndependent) {
   // recorded during the run.
   RunOptions tripped;
   tripped.memory_budget_bytes = 1;
-  Result<QueryResult> trip = db_.RunWith(kNestedQuery, tripped, &executor);
+  Result<QueryResult> trip = db_.Run(kNestedQuery, tripped, &executor);
   ASSERT_FALSE(trip.ok());
   EXPECT_EQ(trip.status().code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(executor.guard()->last_trip_was_memory())
@@ -234,7 +234,7 @@ TEST_F(ExecutorReuseSoakTest, SpillTripThenCleanQueryStaysIndependent) {
 
   // Query 2 on the same executor: unbudgeted, must be untouched.
   Result<QueryResult> clean =
-      db_.RunWith(kNestedQuery, RunOptions(), &executor);
+      db_.Run(kNestedQuery, RunOptions(), &executor);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
   // And its rows match a fresh executor's.

@@ -1114,7 +1114,7 @@ TEST_F(AutoStrategyFaultTest, CheckpointSweepAcrossSamplingAndSwitch) {
 
   injector.ArmNth(0);  // count-only baseline
   TMDB_ASSERT_OK_AND_ASSIGN(QueryResult baseline,
-                            db_.RunWith(kCorrelated, options, &executor_));
+                            db_.Run(kCorrelated, options, &executor_));
   ASSERT_EQ(baseline.stats.strategy_switches, 1u)
       << "thrashing workload no longer triggers the adaptive switch; the "
          "sweep would not cover attempt 2";
@@ -1128,7 +1128,7 @@ TEST_F(AutoStrategyFaultTest, CheckpointSweepAcrossSamplingAndSwitch) {
     SCOPED_TRACE("checkpoint " + std::to_string(n) + " of " +
                  std::to_string(total));
     injector.ArmNth(n);
-    auto poisoned = db_.RunWith(kCorrelated, options, &executor_);
+    auto poisoned = db_.Run(kCorrelated, options, &executor_);
     ASSERT_FALSE(poisoned.ok()) << "checkpoint " << n << " did not fire";
     EXPECT_EQ(poisoned.status().code(), StatusCode::kInternal)
         << poisoned.status().ToString();
@@ -1141,7 +1141,7 @@ TEST_F(AutoStrategyFaultTest, CheckpointSweepAcrossSamplingAndSwitch) {
     // The same executor recovers to the exact baseline — including the
     // adaptive switch firing again at the same probe.
     injector.Disarm();
-    auto recovered = db_.RunWith(kCorrelated, options, &executor_);
+    auto recovered = db_.Run(kCorrelated, options, &executor_);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     ExpectSameRows(*recovered, baseline);
     EXPECT_EQ(recovered->stats.strategy_switches, 1u);
@@ -1153,14 +1153,14 @@ TEST_F(AutoStrategyFaultTest, RandomRatesUnwindCleanly) {
   FaultInjector injector;
   const RunOptions options = ThrashAutoOptions(&injector);
   TMDB_ASSERT_OK_AND_ASSIGN(QueryResult baseline,
-                            db_.RunWith(kCorrelated, options, &executor_));
+                            db_.Run(kCorrelated, options, &executor_));
 
   for (uint64_t seed : {3u, 17u, 99u, 1234u}) {
     for (double rate : {0.002, 0.02}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " rate=" + std::to_string(rate));
       injector.ArmRate(rate, seed);
-      auto run = db_.RunWith(kCorrelated, options, &executor_);
+      auto run = db_.Run(kCorrelated, options, &executor_);
       if (run.ok()) {
         ExpectSameRows(*run, baseline);
       } else {
@@ -1169,7 +1169,7 @@ TEST_F(AutoStrategyFaultTest, RandomRatesUnwindCleanly) {
       }
 
       injector.Disarm();
-      auto recovered = db_.RunWith(kCorrelated, options, &executor_);
+      auto recovered = db_.Run(kCorrelated, options, &executor_);
       ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
       ExpectSameRows(*recovered, baseline);
     }
@@ -1190,7 +1190,7 @@ TEST_F(AutoStrategyFaultTest, CacheOverflowIoFaultsDegradeUnderAuto) {
 
   injector.ArmIo(IoFaultKind::kShortWrite, 0);  // count only
   TMDB_ASSERT_OK_AND_ASSIGN(QueryResult baseline,
-                            db_.RunWith(kCorrelated, options, &executor_));
+                            db_.Run(kCorrelated, options, &executor_));
   const uint64_t writes = injector.io_writes_seen();
   const uint64_t reads = injector.io_reads_seen();
   ASSERT_GT(writes, 0u) << "soft cap never overflowed to disk";
@@ -1210,7 +1210,7 @@ TEST_F(AutoStrategyFaultTest, CacheOverflowIoFaultsDegradeUnderAuto) {
       SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(ch.kind)) +
                    " n=" + std::to_string(n));
       injector.ArmIo(ch.kind, n);
-      auto run = db_.RunWith(kCorrelated, options, &executor_);
+      auto run = db_.Run(kCorrelated, options, &executor_);
       ASSERT_TRUE(run.ok()) << "cache overflow I/O fault failed the query: "
                             << run.status().ToString();
       ExpectSameRows(*run, baseline);
@@ -1230,7 +1230,7 @@ TEST_F(AutoStrategyFaultTest, CancelRacingTheAdaptiveSwitchNeverLeaks) {
   options.strategy = Strategy::kAuto;
   options.subplan_cache_bytes = 1;
   TMDB_ASSERT_OK_AND_ASSIGN(QueryResult baseline,
-                            db_.RunWith(kCorrelated, options, &executor_));
+                            db_.Run(kCorrelated, options, &executor_));
   ASSERT_EQ(baseline.stats.strategy_switches, 1u);
 
   for (int delay_us : {0, 50, 100, 200, 400, 800, 1600, 3200}) {
@@ -1239,7 +1239,7 @@ TEST_F(AutoStrategyFaultTest, CancelRacingTheAdaptiveSwitchNeverLeaks) {
       std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
       executor_.guard()->Cancel();
     });
-    auto run = db_.RunWith(kCorrelated, options, &executor_);
+    auto run = db_.Run(kCorrelated, options, &executor_);
     canceller.join();
     if (run.ok()) {
       ExpectSameRows(*run, baseline);
@@ -1252,7 +1252,7 @@ TEST_F(AutoStrategyFaultTest, CancelRacingTheAdaptiveSwitchNeverLeaks) {
     }
 
     // The executor is reusable after every outcome.
-    auto next = db_.RunWith(kCorrelated, options, &executor_);
+    auto next = db_.Run(kCorrelated, options, &executor_);
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     ExpectSameRows(*next, baseline);
   }

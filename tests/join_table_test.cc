@@ -1,11 +1,15 @@
-// JoinTable, the hash join's one build table: one slot per distinct build
-// key, each slot's rows in build-input order, keyed by one raw word when
+// JoinTable, the one hash table of the hash join and of ν/ν*: one slot per
+// distinct key, each slot's rows in input order, keyed by one raw word when
 // the data allows and by the composite key Value otherwise. Covers slot
 // order under serial and morsel-parallel builds, the Value encoding's
 // Int/Real equality, the raw f64 word's -0.0/NaN rules, the mid-build
-// switch from raw to Value keys, the guard charge (no per-row key), and a
-// failed build handing its rows back untouched.
+// switch from raw to Value keys, the guard charge (no per-row key), a
+// failed build handing its rows back untouched, the shared per-slot sets,
+// and ν's key semantics run through NestOp: Int(1) and Real(1.0) form one
+// group, NULL keys form one group, ν* turns an all-padding group into ∅,
+// and groups come out in first-occurrence order at every thread count.
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -14,9 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/basic_ops.h"
 #include "exec/columnar.h"
 #include "exec/exec_context.h"
+#include "exec/executor.h"
 #include "exec/join_table.h"
+#include "exec/nest_op.h"
+#include "exec/parallel_util.h"
 #include "exec/query_guard.h"
 #include "sched/scheduler.h"
 #include "tests/test_util.h"
@@ -263,6 +271,192 @@ TEST_F(JoinTableTest, TakeRowsReturnsBuildOrderAndRefunds) {
   EXPECT_EQ(table.num_slots(), 0u);
   EXPECT_EQ(guard_.materialized_bytes(), 0);
   table.Reset(nullptr);
+}
+
+TEST_F(JoinTableTest, CallerKeysGroupIntWithRealAndNullWithNull) {
+  // ν keys its table with group key tuples: Int(1) and Real(1.0) share a
+  // slot, as do two NULL keys, and slots follow first occurrence.
+  auto key = [](Value v) { return Value::Tuple({"k"}, {std::move(v)}); };
+  const std::vector<Value> keys = {key(Value::Int(1)), key(Value::Null()),
+                                   key(Value::Real(1.0)), key(Value::Int(2)),
+                                   key(Value::Null())};
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<Value> rows;
+    for (int64_t i = 0; i < 5; ++i) rows.push_back(Row(Value::Int(i), i));
+    ExecContext ctx = Context(threads);
+    JoinTable table;
+    table.Reset(&guard_);
+    TMDB_ASSERT_OK(table.Build(&ctx, &rows, keys));
+    ASSERT_EQ(table.num_slots(), 3u);
+    EXPECT_TRUE(table.key(0).Equals(key(Value::Int(1))));
+    EXPECT_TRUE(table.key(1).Equals(key(Value::Null())));
+    EXPECT_TRUE(table.key(2).Equals(key(Value::Int(2))));
+    EXPECT_EQ(SlotRows(table, 0), (std::vector<int64_t>{0, 2}));
+    EXPECT_EQ(SlotRows(table, 1), (std::vector<int64_t>{1, 4}));
+    EXPECT_EQ(SlotRows(table, 2), (std::vector<int64_t>{3}));
+    table.Reset(nullptr);
+    EXPECT_EQ(guard_.materialized_bytes(), 0);
+  }
+}
+
+TEST_F(JoinTableTest, SharedSlotSetIsBuiltOncePerSlot) {
+  // 64 morsels on 4 threads all ask for every slot's set: each slot's rows
+  // are imaged exactly once, and every caller gets the same Value.
+  std::vector<Value> rows;
+  for (int64_t i = 0; i < 600; ++i) rows.push_back(Row(Value::Int(i % 6), i));
+  ExecContext ctx = Context(4);
+  JoinTable table(keys_, name_, nullptr);
+  table.Reset(&guard_);
+  TMDB_ASSERT_OK(table.Build(&ctx, &rows));
+  TMDB_ASSERT_OK(table.ReserveSets());
+  std::atomic<int> images{0};
+  auto image = [&](const Value& row, std::vector<Value>* out) {
+    images.fetch_add(1);
+    out->push_back(*row.FindField("w"));
+    return Status::OK();
+  };
+  std::vector<std::vector<const void*>> seen(64);
+  std::vector<MorselRange> morsels;
+  for (size_t m = 0; m < 64; ++m) morsels.push_back({m, m + 1});
+  TMDB_ASSERT_OK(ParallelForMorsels(
+      ctx.sched, &guard_, morsels, [&](size_t m, MorselRange) -> Status {
+        for (uint32_t s = 0; s < 6; ++s) {
+          uint32_t size = 0;
+          TMDB_ASSIGN_OR_RETURN(Value set,
+                                table.SharedSlotSet(s, image, &size));
+          if (size != 100 || set.NumElements() != 100) {
+            return Status::Internal("wrong slot set");
+          }
+          seen[m].push_back(&set.Elements());
+        }
+        return Status::OK();
+      }));
+  EXPECT_EQ(images.load(), 600);
+  for (size_t m = 1; m < 64; ++m) EXPECT_EQ(seen[m], seen[0]);
+  table.Reset(nullptr);
+  EXPECT_EQ(guard_.materialized_bytes(), 0);
+}
+
+TEST_F(JoinTableTest, SharedSlotSetErrorReachesEveryCaller) {
+  std::vector<Value> rows = {Row(Value::Int(0), 0), Row(Value::Int(0), 1),
+                             Row(Value::Int(1), 2)};
+  ExecContext ctx = Context(1);
+  JoinTable table(keys_, name_, nullptr);
+  table.Reset(&guard_);
+  TMDB_ASSERT_OK(table.Build(&ctx, &rows));
+  TMDB_ASSERT_OK(table.ReserveSets());
+  auto image = [](const Value& row, std::vector<Value>* out) -> Status {
+    if (row.FindField("w")->AsInt() == 1) {
+      return Status::InvalidArgument("bad row");
+    }
+    out->push_back(row);
+    return Status::OK();
+  };
+  uint32_t size = 0;
+  for (int call = 0; call < 3; ++call) {
+    Result<Value> set = table.SharedSlotSet(0, image, &size);
+    ASSERT_FALSE(set.ok());
+    EXPECT_EQ(set.status().code(), StatusCode::kInvalidArgument);
+  }
+  TMDB_ASSERT_OK_AND_ASSIGN(Value ok, table.SharedSlotSet(1, image, &size));
+  EXPECT_EQ(size, 1u);
+  EXPECT_EQ(ok.NumElements(), 1u);
+  table.Reset(nullptr);
+}
+
+/// ν over literal (k, w) rows, collecting `w`-tuples as (w = j.w).
+class NestKeyTest : public ::testing::Test {
+ protected:
+  static Value KW(Value k, Value w) {
+    return Value::Tuple({"k", "w"}, {std::move(k), std::move(w)});
+  }
+
+  /// Runs ν (ν* when `star`) over `rows` at `threads`.
+  static std::vector<Value> Nest(const std::vector<Value>& rows, bool star,
+                                 int threads) {
+    Expr j = Expr::Var("j", Type::Tuple({{"k", Type::Any()},
+                                         {"w", Type::Any()}}));
+    Expr elem = Expr::Must(
+        Expr::MakeTuple({"w"}, {Expr::Must(Expr::Field(j, "w"))}));
+    NestOp nest(PhysicalOpPtr(new ExprSourceOp(
+                    Expr::Literal(Value::List(rows)))),
+                {"k"}, "j", elem, "s", star);
+    Executor executor(threads);
+    Result<std::vector<Value>> out = executor.RunPhysical(&nest);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? *out : std::vector<Value>();
+  }
+
+  static Value Group(Value k, std::vector<int64_t> ws) {
+    std::vector<Value> elems;
+    for (int64_t w : ws) {
+      elems.push_back(Value::Tuple({"w"}, {Value::Int(w)}));
+    }
+    return Value::Tuple({"k", "s"}, {std::move(k), Value::Set(elems)});
+  }
+};
+
+TEST_F(NestKeyTest, IntAndRealFormOneGroupAndNullsFormOne) {
+  const std::vector<Value> rows = {
+      KW(Value::Int(1), Value::Int(0)), KW(Value::Null(), Value::Int(1)),
+      KW(Value::Real(1.0), Value::Int(2)), KW(Value::Int(2), Value::Int(3)),
+      KW(Value::Null(), Value::Int(4))};
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<Value> out = Nest(rows, /*star=*/false, threads);
+    ASSERT_EQ(out.size(), 3u);
+    // The group keeps the key of its first row.
+    EXPECT_TRUE(out[0].Equals(Group(Value::Int(1), {0, 2})));
+    EXPECT_TRUE(out[0].FindField("k")->is_int());
+    EXPECT_TRUE(out[1].Equals(Group(Value::Null(), {1, 4})));
+    EXPECT_TRUE(out[2].Equals(Group(Value::Int(2), {3})));
+  }
+}
+
+TEST_F(NestKeyTest, NestStarTurnsAnAllPaddingGroupIntoEmpty) {
+  // Key 7 sees only padding (w = NULL, so the image (w = NULL) is all
+  // NULL); key 8 mixes padding with a real element.
+  const std::vector<Value> rows = {
+      KW(Value::Int(7), Value::Null()), KW(Value::Int(8), Value::Int(1)),
+      KW(Value::Int(7), Value::Null()), KW(Value::Int(8), Value::Null())};
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<Value> star = Nest(rows, /*star=*/true, threads);
+    ASSERT_EQ(star.size(), 2u);
+    EXPECT_TRUE(star[0].Equals(Group(Value::Int(7), {})));
+    EXPECT_TRUE(star[1].Equals(Group(Value::Int(8), {1})));
+    // Plain ν keeps the padding images.
+    std::vector<Value> plain = Nest(rows, /*star=*/false, threads);
+    ASSERT_EQ(plain.size(), 2u);
+    EXPECT_EQ(plain[0].FindField("s")->NumElements(), 1u);
+    EXPECT_EQ(plain[1].FindField("s")->NumElements(), 2u);
+  }
+}
+
+TEST_F(NestKeyTest, GroupsComeOutInFirstOccurrenceOrder) {
+  // 5000 rows over 997 keys in scrambled order: several morsels per thread
+  // count, every key seen by more than one morsel.
+  std::vector<Value> rows;
+  std::vector<int64_t> first_seen;
+  std::vector<std::vector<int64_t>> members(997);
+  for (int64_t i = 0; i < 5000; ++i) {
+    const int64_t k = (i * 7919) % 997;
+    if (members[static_cast<size_t>(k)].empty()) first_seen.push_back(k);
+    members[static_cast<size_t>(k)].push_back(i);
+    rows.push_back(KW(Value::Int(k), Value::Int(i)));
+  }
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<Value> out = Nest(rows, /*star=*/false, threads);
+    ASSERT_EQ(out.size(), first_seen.size());
+    for (size_t g = 0; g < out.size(); ++g) {
+      const int64_t k = first_seen[g];
+      ASSERT_TRUE(out[g].Equals(
+          Group(Value::Int(k), members[static_cast<size_t>(k)])))
+          << "group " << g;
+    }
+  }
 }
 
 }  // namespace

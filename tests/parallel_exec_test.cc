@@ -1,10 +1,11 @@
 // Determinism tests for intra-operator parallelism: any num_threads must
 // produce results *identical* to serial execution — same rows, same order,
-// same ExecStats. Also unit-tests the legacy ThreadPool (kept as the
-// static-dispatch bench baseline) and the ParallelForMorsels entry point
-// over the shared work-stealing scheduler.
+// same ExecStats. Also unit-tests the ParallelForMorsels entry point over
+// the shared work-stealing scheduler.
 
 #include <atomic>
+#include <functional>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -13,7 +14,6 @@
 #include "algebra/subplan.h"
 #include "base/fault_injector.h"
 #include "base/random.h"
-#include "base/thread_pool.h"
 #include "catalog/table.h"
 #include "core/database.h"
 #include "exec/basic_ops.h"
@@ -30,51 +30,7 @@ namespace {
 
 using testutil::IntRow;
 
-// ------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, StartupAndShutdown) {
-  for (size_t n : {1u, 2u, 8u}) {
-    ThreadPool pool(n);
-    EXPECT_EQ(pool.num_threads(), n);
-  }
-  // Zero threads is clamped to one worker.
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-}
-
-TEST(ThreadPoolTest, RunsManyTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> sum{0};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([i, &sum] {
-      sum.fetch_add(1, std::memory_order_relaxed);
-      return i * i;
-    }));
-  }
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futures[i].get(), i * i);
-  EXPECT_EQ(sum.load(), 100);
-}
-
-TEST(ThreadPoolTest, DrainsQueueOnDestruction) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // destructor must complete all 50 before joining
-  EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto bad = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The pool must survive a throwing task and keep serving new ones.
-  auto good = pool.Submit([] { return 7; });
-  EXPECT_EQ(good.get(), 7);
-}
+// ----------------------------------------------------- ParallelForMorsels
 
 TEST(ParallelForMorselsTest, ThrowingBodyBecomesStatusAndSchedulerSurvives) {
   QuerySched sched(4);
@@ -400,6 +356,167 @@ TEST(ParallelPipelineTest, Section8MatchesSerial) {
       options.num_threads = threads;
       TMDB_ASSERT_OK_AND_ASSIGN(QueryResult parallel, db.Run(query, options));
       ExpectIdentical(parallel.rows, serial.rows);
+    }
+  }
+}
+
+// ------------------ nest join: one set per slot, any threads and budget
+//
+// A nest join with a literal-true residual and a G that reads neither x nor
+// a subplan builds one set per build key and shares it between probes. The
+// shape must not depend on the thread count or the memory budget: rows and
+// stats equal the serial unbudgeted run everywhere.
+
+TEST(NestJoinSlotSetTest, PaperShapesUnderTheServiceSliceMatchSerial) {
+  Database db;
+  CountBugConfig rs;
+  rs.num_r = 400;
+  rs.num_s = 800;
+  rs.seed = 21;
+  TMDB_ASSERT_OK(LoadCountBugTables(&db, rs));
+  CompanyConfig company;
+  company.num_depts = 20;
+  company.num_emps = 300;
+  company.seed = 22;
+  TMDB_ASSERT_OK(LoadCompanyTables(&db, company));
+  const char* kQueries[] = {
+      // The COUNT-bug shape: G = y.d.
+      "SELECT x FROM R x WHERE x.b = count(SELECT y.d FROM S y "
+      "WHERE x.c = y.c)",
+      // Company Q2: G = e.name.
+      "SELECT (dname = d.dname, emps = SELECT e.name FROM EMP e "
+      "WHERE e.address.city = d.address.city) FROM DEPT d",
+  };
+  for (const char* query : kQueries) {
+    SCOPED_TRACE(query);
+    RunOptions serial_options;
+    serial_options.strategy = Strategy::kNestJoin;
+    TMDB_ASSERT_OK_AND_ASSIGN(QueryResult serial,
+                              db.Run(query, serial_options));
+    ASSERT_FALSE(serial.rows.empty());
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      RunOptions options = serial_options;
+      options.num_threads = threads;
+      options.memory_budget_bytes = 32ull << 20;
+      TMDB_ASSERT_OK_AND_ASSIGN(QueryResult run, db.Run(query, options));
+      ExpectIdentical(run.rows, serial.rows);
+      ExpectSameStats(run.stats, serial.stats);
+    }
+  }
+}
+
+class NestJoinSlotSetOpTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Random rng(19);
+    TMDB_ASSERT_OK_AND_ASSIGN(
+        x_, Table::Create("X", Type::Tuple({{"e", Type::Int()},
+                                            {"d", Type::Int()}})));
+    TMDB_ASSERT_OK_AND_ASSIGN(
+        y_, Table::Create("Y", Type::Tuple({{"a", Type::Int()},
+                                            {"b", Type::Int()}})));
+    for (int i = 0; i < 3000; ++i) {
+      TMDB_ASSERT_OK(x_->Insert(IntRow({"e", "d"},
+                                       {i, rng.UniformInt(0, 60)})));
+    }
+    for (int i = 0; i < 900; ++i) {
+      // b = 7 only on row 0, so a G that divides by (b - 7) fails on one
+      // build row.
+      TMDB_ASSERT_OK(y_->Insert(
+          IntRow({"a", "b"}, {i, i == 0 ? 7 : 8 + rng.UniformInt(0, 60)})));
+    }
+  }
+
+  /// X ▵ Y on x.d = y.b with G = `func` over y.
+  PhysicalOpPtr MakeNestJoin(const std::function<Expr(const Expr&)>& func) {
+    Expr xv = Expr::Var("x", x_->schema());
+    Expr yv = Expr::Var("y", y_->schema());
+    JoinSpec spec;
+    spec.mode = JoinMode::kNestJoin;
+    spec.left_var = "x";
+    spec.right_var = "y";
+    spec.right_type = y_->schema();
+    spec.pred = Expr::True();
+    spec.func = func(yv);
+    spec.label = "s";
+    return PhysicalOpPtr(new HashJoinOp(
+        PhysicalOpPtr(new TableScanOp(x_)), PhysicalOpPtr(new TableScanOp(y_)),
+        std::move(spec), {Expr::Must(Expr::Field(xv, "d"))},
+        {Expr::Must(Expr::Field(yv, "b"))}));
+  }
+
+  static Result<std::vector<Value>> Run(PhysicalOp* op, int threads,
+                                        uint64_t budget, ExecStats* stats) {
+    Executor executor(threads);
+    GuardLimits limits;
+    limits.memory_budget_bytes = budget;
+    executor.set_limits(limits);
+    Result<std::vector<Value>> rows = executor.RunPhysical(op);
+    *stats = executor.stats();
+    return rows;
+  }
+
+  std::shared_ptr<Table> x_;
+  std::shared_ptr<Table> y_;
+};
+
+TEST_F(NestJoinSlotSetOpTest, ProbesOfOneKeyShareOneSet) {
+  PhysicalOpPtr op = MakeNestJoin(
+      [](const Expr& y) { return Expr::Must(Expr::Field(y, "a")); });
+  ExecStats serial_stats;
+  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> serial,
+                            Run(op.get(), 1, 0, &serial_stats));
+  for (int threads : {1, 4}) {
+    for (uint64_t budget : {uint64_t{0}, uint64_t{32} << 20}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " budget=" + std::to_string(budget));
+      ExecStats stats;
+      TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> rows,
+                                Run(op.get(), threads, budget, &stats));
+      ExpectIdentical(rows, serial);
+      ExpectSameStats(stats, serial_stats);
+      // Every left row with the same key holds the very same set.
+      std::map<int64_t, const std::vector<Value>*> first;
+      size_t shared = 0;
+      for (const Value& row : rows) {
+        const Value& set = *row.FindField("s");
+        if (set.NumElements() == 0) continue;
+        auto [it, inserted] =
+            first.emplace(row.FindField("d")->AsInt(), &set.Elements());
+        if (!inserted) {
+          ASSERT_EQ(it->second, &set.Elements());
+          ++shared;
+        }
+      }
+      EXPECT_GT(shared, 1000u);
+    }
+  }
+}
+
+TEST_F(NestJoinSlotSetOpTest, FailingGReturnsTheSameStatusAtAnyThreadCount) {
+  // G = y.a / (y.b - 7) divides by zero on one build row; the probes of its
+  // slot all meet the error, and the query fails the same way everywhere.
+  PhysicalOpPtr op = MakeNestJoin([](const Expr& y) {
+    Expr denom = Expr::Must(
+        Expr::Binary(BinaryOp::kSub, Expr::Must(Expr::Field(y, "b")),
+                     Expr::Literal(Value::Int(7))));
+    return Expr::Must(Expr::Binary(BinaryOp::kDiv,
+                                   Expr::Must(Expr::Field(y, "a")), denom));
+  });
+  // Some left row must probe key 7, or nothing fails.
+  TMDB_ASSERT_OK(x_->Insert(IntRow({"e", "d"}, {5000, 7})));
+  ExecStats stats;
+  Result<std::vector<Value>> serial = Run(op.get(), 1, 0, &stats);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_EQ(serial.status().code(), StatusCode::kInvalidArgument);
+  for (int threads : {1, 4}) {
+    for (uint64_t budget : {uint64_t{0}, uint64_t{32} << 20}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " budget=" + std::to_string(budget));
+      Result<std::vector<Value>> run = Run(op.get(), threads, budget, &stats);
+      ASSERT_FALSE(run.ok());
+      EXPECT_EQ(run.status().ToString(), serial.status().ToString());
     }
   }
 }

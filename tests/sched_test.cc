@@ -252,7 +252,7 @@ TEST(ExecutorChurnTest, MixedThreadCountsOnAReusedExecutorCreateNoThreads) {
       RunOptions options;
       options.num_threads = threads;
       TMDB_ASSERT_OK_AND_ASSIGN(QueryResult result,
-                                db.RunWith(query, options, &executor));
+                                db.Run(query, options, &executor));
       if (reference.empty()) {
         reference = std::move(result.rows);
       } else {
@@ -343,7 +343,7 @@ TEST(MultiQuerySoakTest, CancellingOneQueryLeavesNeighboursUntouched) {
       options.strategy = Strategy::kNaive;   // slow on purpose
       options.subplan_cache_bytes = 0;       // no memo: every row pays
       options.num_threads = 4;
-      auto result = db.RunWith(heavy, options, &victim);
+      auto result = db.Run(heavy, options, &victim);
       if (!result.ok()) {
         EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
             << result.status().ToString();
