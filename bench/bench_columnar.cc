@@ -15,14 +15,15 @@
 //   - BM_T1Nest{Row,Col}*: the Table 1 shape — nest equijoin X ⋈ Y on
 //     x.v = y.v with G = identity. The argument is the average number of
 //     matches per key (2 = the paper's Table 1 density, 16 = group-heavy,
-//     where the serial per-group memo pays off on both variants).
+//     where the nest join's shared per-slot sets pay off on both
+//     variants).
 //   - BM_T2Semi{Row,Col}*: the Table 2 EXISTS shape — semi join where
 //     most probes miss, so per-probe key handling dominates.
 //   - *Slice variants: the T1/T2 joins under a 32 MiB memory budget — the
 //     admission slice every service request without a budget of its own
-//     inherits. Raw keys run under a budget too (the join table charges
-//     exactly); the group memo does not, so these bars compare the two key
-//     encodings alone. The T1 nest join runs at a quarter of the rows:
+//     inherits. Raw keys and the nest join's per-slot sets run under a
+//     budget too (the join table charges exactly), so these bars are the
+//     service's join path. The T1 nest join runs at a quarter of the rows:
 //     at full size its grouped output alone outgrows the slice.
 
 #include <cstdio>

@@ -65,9 +65,9 @@ uint64_t DoMorsel(MorselRange m) {
   return acc;
 }
 
-/// The retired dispatch discipline: exactly one contiguous morsel of n/T
-/// rows per thread, fixed before any work runs, so the morsel holding the
-/// hot range is a straggler no idle thread can split.
+/// Static dispatch: exactly one contiguous morsel of n/T rows per thread,
+/// fixed before any work runs, so the morsel holding the hot range is a
+/// straggler no idle thread can split.
 std::vector<MorselRange> StaticSplit(int threads) {
   const size_t chunk = (kRows + threads - 1) / threads;
   std::vector<MorselRange> morsels;
@@ -125,9 +125,9 @@ BENCHMARK(BM_WorkStealing)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 // -------------------------------------------- two-query interference
 
-/// Two concurrent 4-way queries with the old static dispatch, now on the
-/// one scheduler: each query's straggler morsel holds its hot range whole,
-/// so an idle thread has nothing left to steal from it.
+/// Two concurrent 4-way queries statically split on the one scheduler:
+/// each query's straggler morsel holds its hot range whole, so an idle
+/// thread has nothing left to steal from it.
 void BM_InterferenceStaticSplit(benchmark::State& state) {
   QuerySched sched_a(4);
   QuerySched sched_b(4);
