@@ -10,8 +10,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Every build runs nproc compiles at a time: a bare -j starts all of a
+# tree's translation units at once, which a host shared with other jobs
+# may not have the memory for.
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j)
 
 # Low-memory-budget sweep: the differential matrix (strategy x spill x
@@ -32,7 +35,7 @@ done
 # not in plain ctest. Sanitizers need their own object files, so each
 # gets a dedicated build tree.
 cmake -B build-tsan -S . -DTMDB_SANITIZE=thread
-cmake --build build-tsan -j --target parallel_exec_test sched_test \
+cmake --build build-tsan -j "$(nproc)" --target parallel_exec_test sched_test \
   fault_injection_test \
   spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
   differential_exec_test cost_model_test net_service_test \
@@ -64,7 +67,7 @@ cmake --build build-tsan -j --target parallel_exec_test sched_test \
 # ASan pass over the same suites: every injected fault must unwind without
 # leaking operator, pool, or spill-file state.
 cmake -B build-asan -S . -DTMDB_SANITIZE=address
-cmake --build build-asan -j --target parallel_exec_test sched_test \
+cmake --build build-asan -j "$(nproc)" --target parallel_exec_test sched_test \
   fault_injection_test \
   spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
   differential_exec_test cost_model_test net_service_test \
@@ -88,7 +91,7 @@ cmake --build build-asan -j --target parallel_exec_test sched_test \
 # hashing, misaligned or out-of-range slot and chain reads, and invalid
 # enum loads in the key-encoding switches abort the run here.
 cmake -B build-ubsan -S . -DTMDB_SANITIZE=undefined
-cmake --build build-ubsan -j --target columnar_exec_test \
+cmake --build build-ubsan -j "$(nproc)" --target columnar_exec_test \
   differential_exec_test spill_exec_test parallel_exec_test \
   fault_injection_test join_table_test
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1

@@ -1,7 +1,13 @@
 #include "net/server.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <cctype>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -51,15 +57,113 @@ class AdmissionSlot {
   const int weight_;
 };
 
+/// Hands the free memory of every malloc arena back to the OS. A session
+/// calls it once its worker has exited: the worker's arena still holds the
+/// high-water of the largest statement it ran, resident, and glibc gives a
+/// dead thread's arena to whichever thread next asks, often a light one
+/// that never reuses it.
+void ReleaseFreedMemory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
+/// How often a cancel still owed to a running statement is re-issued. A
+/// Cancel() that lands before the run arms its guard is cleared by that
+/// arming, so the session repeats it until the statement returns; only
+/// this path polls on a timer.
+constexpr int kCancelRetryMs = 1;
+
+/// The long-lived thread that runs one session's statements, so the
+/// session thread stays free to watch its socket. It is the session's own
+/// thread, not a scheduler worker: a statement holds its thread for its
+/// whole run, and on a scheduler worker it would take that worker from
+/// every other query's morsels. The thread starts with the session's first
+/// statement and notifies `done` each time a statement returns.
+class StatementWorker {
+ public:
+  explicit StatementWorker(WakeFd* done) : done_(done) {}
+  ~StatementWorker() { Stop(); }
+  StatementWorker(const StatementWorker&) = delete;
+  StatementWorker& operator=(const StatementWorker&) = delete;
+
+  /// Hands `statement` to the worker; the previous one must have returned.
+  /// True when this call started the worker's thread.
+  bool Submit(std::function<void()> statement) {
+    bool started = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      statement_ = std::move(statement);
+      running_ = true;
+      if (!thread_.joinable()) {
+        thread_ = std::thread([this] { Loop(); });
+        started = true;
+      }
+    }
+    cv_.notify_all();
+    return started;
+  }
+
+  /// True until the submitted statement has returned; once false, the
+  /// statement's writes are visible to the caller.
+  bool running() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return running_;
+  }
+
+  /// Lets the thread finish its statement, if any, then joins it. True
+  /// when a thread was joined.
+  bool Stop() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      quit_ = true;
+    }
+    cv_.notify_all();
+    if (!thread_.joinable()) return false;
+    thread_.join();
+    return true;
+  }
+
+ private:
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [this] { return quit_ || statement_ != nullptr; });
+      if (statement_ == nullptr) return;
+      std::function<void()> statement = std::exchange(statement_, nullptr);
+      lock.unlock();
+      statement();
+      statement = nullptr;  // drops the closure before the caller resumes
+      lock.lock();
+      running_ = false;
+      // After running_ flips: a poller that drains the fd and then sees
+      // running() true is sure to be woken again.
+      done_->Notify();
+    }
+  }
+
+  WakeFd* const done_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::function<void()> statement_;
+  bool running_ = false;
+  bool quit_ = false;
+  std::thread thread_;
+};
+
 }  // namespace
 
-/// One connection: a thread, a socket, and a reused Executor. The session
-/// thread owns all socket reads and writes; other threads influence it
-/// only through atomics, guard cancellation, and socket shutdown.
+/// One connection: a thread, a socket, a completion fd, a statement
+/// worker, and a reused Executor. The session thread owns all socket reads
+/// and writes; other threads influence it only through atomics, guard
+/// cancellation, the completion fd, and socket shutdown.
 class QueryServer::Session {
  public:
-  Session(QueryServer* server, Socket sock, uint64_t id)
-      : server_(server), sock_(std::move(sock)), id_(id) {}
+  Session(QueryServer* server, Socket sock, WakeFd wake, uint64_t id)
+      : server_(server),
+        sock_(std::move(sock)),
+        id_(id),
+        wake_(std::move(wake)) {}
 
   ~Session() {
     if (thread_.joinable()) thread_.join();
@@ -70,13 +174,15 @@ class QueryServer::Session {
   }
 
   /// Called by Shutdown (from the server's thread): flags the stop,
-  /// cancels any in-flight query, and shuts the socket down so blocking
-  /// frame reads unblock. Never closes the fd — the session thread may be
-  /// mid-read, and shutdown() on a live fd is the race-free unblock.
+  /// cancels any in-flight query, shuts the socket down so blocking frame
+  /// reads unblock, and notifies the completion fd so a session waiting on
+  /// its statement wakes at once. Never closes the fd — the session thread
+  /// may be mid-read, and shutdown() on a live fd is the race-free unblock.
   void RequestStop() {
     stop_requested_.store(true, std::memory_order_relaxed);
     executor_.guard()->Cancel();
     sock_.ShutdownBoth();
+    wake_.Notify();
   }
 
   bool finished() const {
@@ -115,6 +221,7 @@ class QueryServer::Session {
       }
       if (!HandleQuery(frame)) break;
     }
+    if (worker_.Stop()) ReleaseFreedMemory();
     finished_.store(true, std::memory_order_release);
   }
 
@@ -231,13 +338,14 @@ class QueryServer::Session {
     options.enable_columnar = request.enable_columnar;
 
     // ------------------------------------------------------- execution
-    // The query runs on a worker thread so this thread can watch the
-    // socket: a vanished client or a CANCEL frame turns into
-    // guard()->Cancel(), observed at the query's next checkpoint.
+    // The statement runs on the session's worker so this thread can watch
+    // the socket: a vanished client or a CANCEL frame turns into
+    // guard()->Cancel(), observed at the query's next checkpoint. The
+    // worker notifies wake_ the moment the statement returns (as does
+    // RequestStop), so the wait below has no timeout.
     std::optional<Result<StatementResult>> outcome;
-    std::atomic<bool> done{false};
     const bool write_statement = IsWriteStatement(request.query);
-    std::thread exec_thread([&] {
+    const bool started = worker_.Submit([&] {
       if (write_statement) {
         std::unique_lock<std::shared_mutex> db_lock(server_->db_mu_);
         outcome.emplace(
@@ -247,20 +355,32 @@ class QueryServer::Session {
         outcome.emplace(
             server_->db_->Execute(request.query, options, &executor_));
       }
-      done.store(true, std::memory_order_release);
     });
+    if (started) {
+      server_->workers_started_.fetch_add(1, std::memory_order_relaxed);
+    }
 
     bool disconnected = false;
-    while (!done.load(std::memory_order_acquire) && !disconnected) {
-      if (stop_requested_.load(std::memory_order_relaxed)) {
-        executor_.guard()->Cancel();
+    bool cancel_owed = false;
+    while (worker_.running()) {
+      if (stop_requested_.load(std::memory_order_relaxed)) cancel_owed = true;
+      if (cancel_owed) executor_.guard()->Cancel();
+      const int timeout_ms = cancel_owed ? kCancelRetryMs : -1;
+      if (disconnected) {
+        // The socket reads as ready forever once it hung up: wait on the
+        // completion fd alone.
+        if (wake_.Wait(timeout_ms)) wake_.Drain();
+        continue;
       }
-      switch (sock_.Poll(server_->options_.poll_interval_ms)) {
+      switch (sock_.Poll(wake_, timeout_ms)) {
+        case Socket::PollState::kWoken:
+          wake_.Drain();
+          break;
         case Socket::PollState::kTimeout:
           break;
         case Socket::PollState::kClosed:
           disconnected = true;
-          executor_.guard()->Cancel();
+          cancel_owed = true;
           break;
         case Socket::PollState::kReadable: {
           Frame in;
@@ -271,21 +391,21 @@ class QueryServer::Session {
               server_->wire_errors_.fetch_add(1, std::memory_order_relaxed);
             }
             disconnected = true;
-            executor_.guard()->Cancel();
           } else if (in.type == FrameType::kCancel) {
             server_->cancel_frames_.fetch_add(1, std::memory_order_relaxed);
-            executor_.guard()->Cancel();
           } else {
             // Pipelining is not part of the protocol; a second request
             // mid-query is a protocol violation. Cancel and drop.
             disconnected = true;
-            executor_.guard()->Cancel();
           }
+          cancel_owed = true;
           break;
         }
       }
     }
-    exec_thread.join();
+    // A re-issued cancel may land after the run cleared its guard; the
+    // next statement must not inherit it.
+    if (cancel_owed) executor_.guard()->ClearTripState();
 
     const Result<StatementResult>& result = *outcome;
     if (disconnected) {
@@ -360,7 +480,10 @@ class QueryServer::Session {
   QueryServer* const server_;
   Socket sock_;
   const uint64_t id_;
+  WakeFd wake_;  // notified when a statement returns, and by RequestStop
   Executor executor_;  // reused across every query on this connection
+  // Declared after wake_ and executor_, so it is joined before they die.
+  StatementWorker worker_{&wake_};
   std::thread thread_;
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> finished_{false};
@@ -405,10 +528,16 @@ void QueryServer::AcceptLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       continue;
     }
+    Result<WakeFd> wake = WakeFd::Open();
+    if (!wake.ok()) {
+      // Out of fds: drop the connection, as a failed accept would.
+      accept_failures_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions_.push_back(std::make_unique<Session>(
-        this, std::move(*accepted), next_session_id_++));
+        this, std::move(*accepted), std::move(*wake), next_session_id_++));
     sessions_.back()->Start();
   }
 }
@@ -473,6 +602,7 @@ ServerStatsSnapshot QueryServer::stats() const {
       queries_disconnected_.load(std::memory_order_relaxed);
   snapshot.cancel_frames = cancel_frames_.load(std::memory_order_relaxed);
   snapshot.wire_errors = wire_errors_.load(std::memory_order_relaxed);
+  snapshot.workers_started = workers_started_.load(std::memory_order_relaxed);
   return snapshot;
 }
 

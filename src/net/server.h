@@ -27,10 +27,6 @@ struct ServerOptions {
   /// Spill configuration applied to sessions whose requests enable spill.
   std::string spill_dir;
   size_t spill_block_bytes = 0;
-  /// How often a session polls its socket for disconnect / CANCEL frames
-  /// while a query executes — the upper bound on how long a vanished
-  /// client keeps a query running past its next guard checkpoint.
-  int poll_interval_ms = 5;
   /// Wire-channel fault injection for the server side of every connection
   /// (tests only). Not owned; must outlive the server.
   FaultInjector* fault_injector = nullptr;
@@ -51,26 +47,34 @@ struct ServerStatsSnapshot {
   uint64_t queries_disconnected = 0;
   uint64_t cancel_frames = 0;
   uint64_t wire_errors = 0;
+  /// Statement worker threads started: one per session that ran a
+  /// statement, however many statements it ran.
+  uint64_t workers_started = 0;
 };
 
 /// TCP front end for one Database: accepts connections, speaks the framed
 /// protocol in net/wire.h, and runs queries concurrently across
-/// connections — each session owns one reused Executor, so worker pools,
-/// guards, and spill managers follow the executor-reuse discipline the
-/// embedded engine already guarantees.
+/// connections — each session owns one reused Executor, so guards and
+/// spill managers follow the executor-reuse discipline the embedded engine
+/// already guarantees, and one long-lived statement worker thread, kept
+/// off the scheduler's workers.
 ///
 /// Robustness invariants (tested by net_service_test):
 ///   - every query ends in a clean Status: completion, a guard trip, an
 ///     admission REJECTED, or kCancelled via disconnect/shutdown;
 ///   - a client that vanishes (abrupt close, torn frame, injected wire
-///     fault) cancels its in-flight query within one poll interval plus
-///     one guard checkpoint, and the session releases its admission slot,
-///     executor, and spill files on the way out;
+///     fault) cancels its in-flight query at once — the session polls its
+///     socket and completion fd with no timeout — plus one guard
+///     checkpoint, and the session releases its admission slot, executor,
+///     and spill files on the way out;
+///   - a response leaves the moment its statement returns: the session's
+///     worker notifies the completion fd, not a timer;
 ///   - overload never accepts work it cannot start: beyond
 ///     max_concurrent + max_queue_depth, requests get typed REJECTED
 ///     frames immediately;
 ///   - Shutdown is graceful and idempotent: stop accepting, cancel active
-///     queries, join every session thread, then return.
+///     queries, wake idle and busy sessions alike, join every session
+///     thread and its statement worker, then return.
 class QueryServer {
  public:
   /// `db` is not owned and must outlive the server. Statements that write
@@ -130,6 +134,7 @@ class QueryServer {
   std::atomic<uint64_t> queries_disconnected_{0};
   std::atomic<uint64_t> cancel_frames_{0};
   std::atomic<uint64_t> wire_errors_{0};
+  std::atomic<uint64_t> workers_started_{0};
 };
 
 }  // namespace tmdb

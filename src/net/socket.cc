@@ -7,11 +7,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <utility>
 
 #include "base/string_util.h"
@@ -164,15 +166,59 @@ Status Socket::RecvAll(void* data, size_t len, bool* eof) {
   return Status::OK();
 }
 
-Socket::PollState Socket::Poll(int timeout_ms) {
-  if (!valid()) return PollState::kClosed;
+Result<WakeFd> WakeFd::Open() {
+  WakeFd wake;
+  wake.fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake.fd_ < 0) return Errno("eventfd");
+  return wake;
+}
+
+void WakeFd::Notify() {
+  if (!valid()) return;
+  const uint64_t one = 1;
+  // Only EINTR can stop the write: the counter cannot reach its
+  // 2^64 - 2 ceiling between drains.
+  while (::write(fd_, &one, sizeof(one)) < 0 && errno == EINTR) {
+  }
+}
+
+void WakeFd::Drain() {
+  if (!valid()) return;
+  uint64_t count = 0;
+  // Non-blocking: EAGAIN means nothing was pending.
+  while (::read(fd_, &count, sizeof(count)) < 0 && errno == EINTR) {
+  }
+}
+
+bool WakeFd::Wait(int timeout_ms) const {
+  if (!valid()) return false;
   struct pollfd pfd;
   pfd.fd = fd_;
   pfd.events = POLLIN;
   pfd.revents = 0;
-  const int rc = ::poll(&pfd, 1, timeout_ms);
+  return ::poll(&pfd, 1, timeout_ms) > 0;
+}
+
+void WakeFd::Close() {
+  if (valid()) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+}
+
+Socket::PollState Socket::Poll(const WakeFd& wake, int timeout_ms) {
+  if (!valid() || !wake.valid()) return PollState::kClosed;
+  struct pollfd pfds[2];
+  pfds[0].fd = wake.fd();
+  pfds[0].events = POLLIN;
+  pfds[0].revents = 0;
+  pfds[1].fd = fd_;
+  pfds[1].events = POLLIN;
+  pfds[1].revents = 0;
+  const int rc = ::poll(pfds, 2, timeout_ms);
   if (rc < 0) return errno == EINTR ? PollState::kTimeout : PollState::kClosed;
   if (rc == 0) return PollState::kTimeout;
+  if (pfds[0].revents != 0) return PollState::kWoken;
   return PollState::kReadable;
 }
 

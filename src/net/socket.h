@@ -10,6 +10,45 @@
 
 namespace tmdb {
 
+/// A completion fd: an eventfd one thread notifies to wake another out of
+/// Socket::Poll at once, instead of the poller finding out on a timer.
+/// Notifications accumulate until Drain. Move-only; Open may fail (fd
+/// exhaustion), and every operation on an invalid WakeFd is a no-op.
+class WakeFd {
+ public:
+  WakeFd() = default;
+  ~WakeFd() { Close(); }
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+  WakeFd(WakeFd&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  WakeFd& operator=(WakeFd&& other) noexcept {
+    if (this != &other) {
+      Close();
+      fd_ = other.fd_;
+      other.fd_ = -1;
+    }
+    return *this;
+  }
+
+  static Result<WakeFd> Open();
+
+  bool valid() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
+
+  /// Wakes the poller (callable from any thread).
+  void Notify();
+  /// Waits up to `timeout_ms` (< 0: no timeout) for a notification; true
+  /// when one is pending. Does not drain.
+  bool Wait(int timeout_ms) const;
+  /// Consumes every pending notification, so the next Poll blocks again.
+  void Drain();
+
+ private:
+  void Close();
+
+  int fd_ = -1;
+};
+
 /// Move-only RAII wrapper over one TCP socket fd. All operations return
 /// Status — the engine is exception-free and so is the wire. Sends use
 /// MSG_NOSIGNAL, so a vanished peer surfaces as kIoError, never SIGPIPE.
@@ -54,12 +93,14 @@ class Socket {
   /// caller was mid-frame — that is a torn frame).
   Status RecvAll(void* data, size_t len, bool* eof);
 
-  enum class PollState { kReadable, kTimeout, kClosed };
+  enum class PollState { kReadable, kWoken, kTimeout, kClosed };
 
-  /// Waits up to timeout_ms for the socket to become readable (data or
-  /// EOF/hangup — both report kReadable so the caller's read sees which).
-  /// kClosed on poll errors or an invalid socket.
-  PollState Poll(int timeout_ms);
+  /// Waits until the socket becomes readable (data or EOF/hangup — both
+  /// report kReadable so the caller's read sees which) or `wake` is
+  /// notified (kWoken, reported ahead of kReadable when both are ready;
+  /// `wake` is not drained). `timeout_ms` < 0 waits with no timeout.
+  /// kClosed on poll errors or an invalid socket or WakeFd.
+  PollState Poll(const WakeFd& wake, int timeout_ms);
 
   /// Sets SO_RCVTIMEO so blocked reads fail with kIoError after
   /// `timeout_ms` instead of hanging forever on a torn stream. 0 disables.

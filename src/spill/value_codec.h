@@ -29,7 +29,8 @@ void EncodeValue(const Value& v, std::string* out);
 /// it. Bounds-checked end to end: truncated, malformed, or adversarially
 /// deep input yields kIoError, never a crash or out-of-range read. Sets are
 /// rebuilt through Value::Set on decode, so a decoded set is canonical
-/// (sorted, duplicate-free) even if the bytes were not.
+/// (sorted, duplicate-free) even if the bytes were not; canonical bytes,
+/// which EncodeValue always writes, cost one O(n) order check, no sort.
 Status DecodeValue(std::string_view data, size_t* pos, Value* out);
 
 }  // namespace tmdb

@@ -160,13 +160,23 @@ Value Value::Tuple(std::vector<std::string> names, std::vector<Value> values) {
 
 Value Value::Set(std::vector<Value> elements) {
   if (elements.empty()) return EmptySet();
-  std::sort(elements.begin(), elements.end(),
-            [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-  elements.erase(std::unique(elements.begin(), elements.end(),
-                             [](const Value& a, const Value& b) {
-                               return a.Equals(b);
-                             }),
-                 elements.end());
+  // Input that is already strictly increasing is canonical as it stands:
+  // the wire and spill decoders and the set merges always hand over such
+  // input, and one O(n) pass spares them the sort and the dedup.
+  const auto less = [](const Value& a, const Value& b) {
+    return a.Compare(b) < 0;
+  };
+  if (std::adjacent_find(elements.begin(), elements.end(),
+                         [&](const Value& a, const Value& b) {
+                           return !less(a, b);
+                         }) != elements.end()) {
+    std::sort(elements.begin(), elements.end(), less);
+    elements.erase(std::unique(elements.begin(), elements.end(),
+                               [](const Value& a, const Value& b) {
+                                 return a.Equals(b);
+                               }),
+                   elements.end());
+  }
   // Dedup can strand most of the build vector's capacity, and the rep's
   // tracked footprint counts capacity — a grouped set built from many
   // duplicates would otherwise pin its pre-dedup size for its lifetime.

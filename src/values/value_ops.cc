@@ -77,8 +77,7 @@ Result<Value> SetUnion(const Value& a, const Value& b) {
   if (!a.is_set()) return NotASet("union", a);
   if (!b.is_set()) return NotASet("union", b);
   // Elements are already canonical on both sides; the merge preserves order
-  // and uniqueness, so we can build the set without re-sorting. Value::Set
-  // re-canonicalises anyway for safety — it is a no-op on sorted input.
+  // and uniqueness, so Value::Set takes the result after one O(n) check.
   return Value::Set(MergeSets(a.Elements(), b.Elements(), true, true, true));
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "base/crc32.h"
 #include "base/hash.h"
 #include "base/random.h"
 #include "base/result.h"
@@ -156,6 +160,53 @@ TEST(RandomTest, BernoulliRoughlyCalibrated) {
   }
   EXPECT_GT(hits, 2700);
   EXPECT_LT(hits, 3300);
+}
+
+// The byte-wise CRC-32 loop Crc32 replaced: slicing-by-8 must agree with it
+// on every input, seed and alignment.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0, 0x1234u), 0x1234u);
+}
+
+TEST(Crc32Test, MatchesByteWiseLoopAtEveryOffsetAndLength) {
+  Random r(7);
+  std::vector<unsigned char> buffer(8 + 300);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(r.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = buffer.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len, 0))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32(p, len, 0xDEADBEEFu),
+                ReferenceCrc32(p, len, 0xDEADBEEFu))
+          << "seeded, offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChunkedThroughSeedAtEverySplitPoint) {
+  Random r(11);
+  std::vector<unsigned char> buffer(300);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(r.Next());
+  const uint32_t whole = ReferenceCrc32(buffer.data(), buffer.size(), 0);
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    const uint32_t head = Crc32(buffer.data(), split);
+    EXPECT_EQ(Crc32(buffer.data() + split, buffer.size() - split, head), whole)
+        << "split " << split;
+  }
 }
 
 }  // namespace

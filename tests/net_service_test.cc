@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -33,6 +35,36 @@ const char kNestedQuery[] =
     "SELECT x FROM R x WHERE x.b = count(SELECT y.d FROM S y "
     "WHERE x.c = y.c)";
 const char kScanQuery[] = "SELECT x FROM R x WHERE x.b >= 0";
+// A four-way cross product with no equality to hash on: 30 * 60^3 rows
+// to filter, seconds of work, so only a cancel ends it quickly.
+const char kLongQuery[] =
+    "SELECT x FROM R x, S y, S z, S w WHERE x.b + y.d + z.d + w.d < 0";
+// Matches no row: the round trip is almost all service path.
+const char kTrivialQuery[] = "SELECT x FROM R x WHERE x.b < 0";
+
+int64_t ElapsedMs(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Sends kLongQuery on a raw socket and reads its kAccepted grant, so the
+/// statement is on the session's worker when this returns.
+void StartLongQuery(Socket* sock, uint64_t request_id) {
+  WireRequest request;
+  request.query = kLongQuery;
+  request.timeout_ms = 120000;
+  Frame frame;
+  frame.type = FrameType::kQuery;
+  frame.request_id = request_id;
+  EncodeRequest(request, &frame.payload);
+  ASSERT_TRUE(WriteFrame(sock, nullptr, frame).ok());
+  Frame in;
+  bool eof = false;
+  ASSERT_TRUE(ReadFrame(sock, nullptr, &in, &eof).ok());
+  ASSERT_FALSE(eof);
+  ASSERT_EQ(in.type, FrameType::kAccepted);
+}
 
 uint64_t TestSeed() {
   if (const char* env = std::getenv("TMDB_NET_SEED")) {
@@ -327,6 +359,133 @@ TEST_F(NetServiceTest, CancelFrameStopsTheQueryWithCancelled) {
   // Either way the cancel frame is eventually consumed and counted —
   // mid-query (cancelling the run) or idle (a no-op between queries).
   EXPECT_TRUE(WaitFor([&] { return server_->stats().cancel_frames == 1; }));
+}
+
+TEST_F(NetServiceTest, CancelFrameStopsALongQueryPromptly) {
+  StartServer(ServerOptions());
+  Result<Socket> sock = Socket::ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(sock.ok());
+  StartLongQuery(&*sock, 21);
+
+  // Cancel straight after the grant: the cancel may land before the run
+  // arms its guard, and must still stop it.
+  const auto start = std::chrono::steady_clock::now();
+  Frame cancel;
+  cancel.type = FrameType::kCancel;
+  cancel.request_id = 21;
+  ASSERT_TRUE(WriteFrame(&*sock, nullptr, cancel).ok());
+  Frame in;
+  bool eof = false;
+  ASSERT_TRUE(ReadFrame(&*sock, nullptr, &in, &eof).ok());
+  ASSERT_FALSE(eof);
+  ASSERT_EQ(in.type, FrameType::kError);
+  WireError error;
+  ASSERT_TRUE(DecodeError(in.payload, &error).ok());
+  EXPECT_EQ(error.code, StatusCode::kCancelled) << error.message;
+  // The session polls with no timeout, so nothing but the query's next
+  // guard checkpoint stands between the frame and the terminator.
+  EXPECT_LT(ElapsedMs(start), 2000);
+
+  // The connection stays usable, and the late cancel is not inherited.
+  QueryClient client = MakeClient();
+  Result<ClientResult> after = client.Run(kScanQuery);
+  EXPECT_TRUE(after.ok()) << after.status().ToString();
+}
+
+TEST_F(NetServiceTest, DisconnectStopsALongQueryPromptly) {
+  ServerOptions options;
+  options.admission.max_concurrent = 1;
+  options.admission.max_queue_depth = 0;
+  StartServer(std::move(options));
+  std::chrono::steady_clock::time_point start;
+  {
+    Result<Socket> sock = Socket::ConnectTcp("127.0.0.1", server_->port());
+    ASSERT_TRUE(sock.ok());
+    StartLongQuery(&*sock, 22);
+    start = std::chrono::steady_clock::now();
+  }  // the client vanishes mid-query
+
+  ASSERT_TRUE(WaitFor([&] {
+    return server_->stats().queries_disconnected >= 1 &&
+           server_->admission()->active() == 0;
+  }));
+  EXPECT_LT(ElapsedMs(start), 2000);
+  EXPECT_EQ(server_->stats().queries_ok, 0u);
+  ExpectNoLeakedSpillFiles();
+}
+
+TEST_F(NetServiceTest, ShutdownWakesIdleAndBusySessions) {
+  StartServer(ServerOptions());
+  // Idle before any statement (no worker yet), idle after one (a worker
+  // waiting for its next statement), and busy on a long query.
+  QueryClient fresh = MakeClient();
+  QueryClient used = MakeClient();
+  ASSERT_TRUE(used.Run(kScanQuery).ok());
+  Result<Socket> busy = Socket::ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(busy.ok());
+  StartLongQuery(&*busy, 23);
+  ASSERT_TRUE(WaitFor([&] { return server_->stats().sessions_active == 3; }));
+
+  const auto start = std::chrono::steady_clock::now();
+  server_->Shutdown();
+  EXPECT_LT(ElapsedMs(start), 2000);
+  EXPECT_EQ(server_->stats().sessions_active, 0u);
+  EXPECT_EQ(server_->stats().queries_ok, 1u);
+  ExpectNoLeakedSpillFiles();
+}
+
+TEST_F(NetServiceTest, ConsecutiveQueriesRunOnOneWorkerPerSession) {
+  StartServer(ServerOptions());
+  QueryClient idle = MakeClient();
+  QueryClient first = MakeClient();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(first.Run(i % 2 == 0 ? kScanQuery : kNestedQuery).ok());
+  }
+  // DDL and a failing statement reuse the same worker too.
+  ASSERT_TRUE(first.Run("CREATE TABLE W (a : INT)").ok());
+  ASSERT_FALSE(first.Run("SELECT x FROM Missing x").ok());
+  EXPECT_EQ(server_->stats().workers_started, 1u);
+
+  QueryClient second = MakeClient();
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(second.Run(kScanQuery).ok());
+  // One worker per session that ran a statement; the idle one has none.
+  EXPECT_EQ(server_->stats().workers_started, 2u);
+}
+
+// ThreadSanitizer instruments every lock and atomic on the round trip and
+// takes it to about 2 ms on a 4-vCPU host, too close to half the tick to
+// assert without flaking; that tree asserts the whole tick instead.
+#if defined(__SANITIZE_THREAD__)
+constexpr double kTrivialRoundTripBoundMs = 5.0;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr double kTrivialRoundTripBoundMs = 5.0;
+#else
+constexpr double kTrivialRoundTripBoundMs = 2.5;
+#endif
+#else
+constexpr double kTrivialRoundTripBoundMs = 2.5;
+#endif
+
+// The response leaves when the statement returns, not on a poll tick: the
+// median round trip of a query that matches nothing is far below the old
+// 5 ms tick. The bound is half that tick (the whole tick under TSan).
+TEST_F(NetServiceTest, TrivialQueryRoundTripIsUnderHalfTheOldTick) {
+  StartServer(ServerOptions());
+  QueryClient client = MakeClient();
+  ASSERT_TRUE(client.Run(kTrivialQuery).ok());  // warm-up
+  std::vector<double> rtt_ms;
+  for (int i = 0; i < 50; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    Result<ClientResult> result = client.Run(kTrivialQuery);
+    rtt_ms.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->rows.empty());
+  }
+  std::nth_element(rtt_ms.begin(), rtt_ms.begin() + 25, rtt_ms.end());
+  EXPECT_LT(rtt_ms[25], kTrivialRoundTripBoundMs);
 }
 
 TEST_F(NetServiceTest, ClientSideWireFaultSweepPoisonsOnlyTheConnection) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "net/wire.h"
+#include "spill/value_codec.h"
 #include "tests/test_util.h"
 #include "values/value_ops.h"
 
@@ -26,6 +31,84 @@ TEST(ValueTest, SetsAreCanonicalised) {
   EXPECT_EQ(s.Element(0).AsInt(), 1);
   EXPECT_EQ(s.Element(1).AsInt(), 2);
   EXPECT_EQ(s.Element(2).AsInt(), 3);
+}
+
+TEST(ValueTest, CanonicalInputKeepsItsOrderAndSize) {
+  // Strictly increasing across kinds: Set takes it as it stands.
+  const std::vector<Value> input = {
+      Value::Null(),       Value::Bool(false),  Value::Int(-3),
+      Value::Real(0.5),    Value::Int(2),       Value::String("a"),
+      Value::String("b"),  Value::Tuple({"a"}, {Value::Int(1)}),
+      IntSet({1, 2}),      IntSet({3})};
+  Value s = Value::Set(input);
+  ASSERT_EQ(s.NumElements(), input.size());
+  for (size_t i = 0; i < input.size(); ++i) {
+    EXPECT_TRUE(s.Element(i).Equals(input[i])) << i;
+    EXPECT_EQ(s.Element(i).kind(), input[i].kind()) << i;
+  }
+}
+
+TEST(ValueTest, NonCanonicalInputStillSortsAndDedups) {
+  Value reversed = Value::Set({Value::Int(5), Value::Int(4), Value::Int(3),
+                               Value::Int(2), Value::Int(1)});
+  ASSERT_EQ(reversed.NumElements(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(reversed.Element(i).AsInt(), static_cast<int64_t>(i) + 1);
+  }
+  // Sorted but with duplicates: not strictly increasing, so it dedups.
+  Value dups = Value::Set({Value::Int(1), Value::Int(1), Value::Int(2),
+                           Value::Int(3), Value::Int(3)});
+  EXPECT_TRUE(dups.Equals(IntSet({1, 2, 3})));
+  EXPECT_EQ(dups.NumElements(), 3u);
+  // Int(1) and Real(1.0) compare equal, so either order is one element.
+  Value mixed = Value::Set({Value::Int(1), Value::Real(1.0)});
+  EXPECT_EQ(mixed.NumElements(), 1u);
+  Value mixed_reversed =
+      Value::Set({Value::Real(2.0), Value::Real(1.0), Value::Int(1)});
+  ASSERT_EQ(mixed_reversed.NumElements(), 2u);
+  EXPECT_DOUBLE_EQ(mixed_reversed.Element(0).AsNumeric(), 1.0);
+  EXPECT_DOUBLE_EQ(mixed_reversed.Element(1).AsNumeric(), 2.0);
+  EXPECT_TRUE(mixed_reversed.Equals(
+      Value::Set({Value::Int(1), Value::Int(2)})));
+  EXPECT_EQ(mixed_reversed.Hash(),
+            Value::Set({Value::Int(1), Value::Int(2)}).Hash());
+}
+
+TEST(ValueTest, NestedSetSurvivesWireAndSpillRoundTrip) {
+  // A company-Q2-shaped row: a set of tuples, each holding a set of sets.
+  std::vector<Value> depts;
+  for (int d = 4; d >= 0; --d) {
+    std::vector<Value> teams;
+    for (int t = 0; t < 3; ++t) teams.push_back(IntSet({d, t, d * t}));
+    depts.push_back(Value::Tuple(
+        {"dept", "teams"}, {Value::Int(d), Value::Set(std::move(teams))}));
+  }
+  const Value original = Value::Set(std::move(depts));
+
+  // Spill codec.
+  std::string bytes;
+  EncodeValue(original, &bytes);
+  size_t pos = 0;
+  Value decoded;
+  ASSERT_TRUE(DecodeValue(bytes, &pos, &decoded).ok());
+  EXPECT_EQ(pos, bytes.size());
+  EXPECT_TRUE(decoded.Equals(original));
+  EXPECT_EQ(decoded.Hash(), original.Hash());
+  std::string reencoded;
+  EncodeValue(decoded, &reencoded);
+  EXPECT_EQ(reencoded, bytes);
+
+  // Wire rows payload.
+  const std::vector<Value> rows = {original, IntSet({7, 8})};
+  std::string payload;
+  EncodeRowsPayload(rows, 0, rows.size(), &payload);
+  std::vector<Value> wire_rows;
+  ASSERT_TRUE(DecodeRowsPayload(payload, &wire_rows).ok());
+  ASSERT_EQ(wire_rows.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(wire_rows[i].Equals(rows[i])) << i;
+    EXPECT_EQ(wire_rows[i].Hash(), rows[i].Hash()) << i;
+  }
 }
 
 TEST(ValueTest, SetEqualityIsOrderInsensitive) {
