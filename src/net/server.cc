@@ -1,13 +1,7 @@
 #include "net/server.h"
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include <cctype>
 #include <chrono>
-#include <condition_variable>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -57,106 +51,18 @@ class AdmissionSlot {
   const int weight_;
 };
 
-/// Hands the free memory of every malloc arena back to the OS. A session
-/// calls it once its worker has exited: the worker's arena still holds the
-/// high-water of the largest statement it ran, resident, and glibc gives a
-/// dead thread's arena to whichever thread next asks, often a light one
-/// that never reuses it.
-void ReleaseFreedMemory() {
-#if defined(__GLIBC__)
-  malloc_trim(0);
-#endif
-}
-
 /// How often a cancel still owed to a running statement is re-issued. A
 /// Cancel() that lands before the run arms its guard is cleared by that
 /// arming, so the session repeats it until the statement returns; only
 /// this path polls on a timer.
 constexpr int kCancelRetryMs = 1;
 
-/// The long-lived thread that runs one session's statements, so the
-/// session thread stays free to watch its socket. It is the session's own
-/// thread, not a scheduler worker: a statement holds its thread for its
-/// whole run, and on a scheduler worker it would take that worker from
-/// every other query's morsels. The thread starts with the session's first
-/// statement and notifies `done` each time a statement returns.
-class StatementWorker {
- public:
-  explicit StatementWorker(WakeFd* done) : done_(done) {}
-  ~StatementWorker() { Stop(); }
-  StatementWorker(const StatementWorker&) = delete;
-  StatementWorker& operator=(const StatementWorker&) = delete;
-
-  /// Hands `statement` to the worker; the previous one must have returned.
-  /// True when this call started the worker's thread.
-  bool Submit(std::function<void()> statement) {
-    bool started = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      statement_ = std::move(statement);
-      running_ = true;
-      if (!thread_.joinable()) {
-        thread_ = std::thread([this] { Loop(); });
-        started = true;
-      }
-    }
-    cv_.notify_all();
-    return started;
-  }
-
-  /// True until the submitted statement has returned; once false, the
-  /// statement's writes are visible to the caller.
-  bool running() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return running_;
-  }
-
-  /// Lets the thread finish its statement, if any, then joins it. True
-  /// when a thread was joined.
-  bool Stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      quit_ = true;
-    }
-    cv_.notify_all();
-    if (!thread_.joinable()) return false;
-    thread_.join();
-    return true;
-  }
-
- private:
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      cv_.wait(lock, [this] { return quit_ || statement_ != nullptr; });
-      if (statement_ == nullptr) return;
-      std::function<void()> statement = std::exchange(statement_, nullptr);
-      lock.unlock();
-      statement();
-      statement = nullptr;  // drops the closure before the caller resumes
-      lock.lock();
-      running_ = false;
-      // After running_ flips: a poller that drains the fd and then sees
-      // running() true is sure to be woken again.
-      done_->Notify();
-    }
-  }
-
-  WakeFd* const done_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::function<void()> statement_;
-  bool running_ = false;
-  bool quit_ = false;
-  std::thread thread_;
-};
-
 }  // namespace
 
-/// One connection: a thread, a socket, a completion fd, a statement
-/// worker, and a reused Executor. The session thread owns all socket reads
-/// and writes; other threads influence it only through atomics, guard
-/// cancellation, the completion fd, and socket shutdown.
+/// One connection: a thread, a socket, a completion fd, and a reused
+/// Executor. The session thread owns all socket reads and writes; other
+/// threads influence it only through atomics, guard cancellation, the
+/// completion fd, and socket shutdown.
 class QueryServer::Session {
  public:
   Session(QueryServer* server, Socket sock, WakeFd wake, uint64_t id)
@@ -221,7 +127,6 @@ class QueryServer::Session {
       }
       if (!HandleQuery(frame)) break;
     }
-    if (worker_.Stop()) ReleaseFreedMemory();
     finished_.store(true, std::memory_order_release);
   }
 
@@ -338,14 +243,16 @@ class QueryServer::Session {
     options.enable_columnar = request.enable_columnar;
 
     // ------------------------------------------------------- execution
-    // The statement runs on the session's worker so this thread can watch
+    // The statement runs on a thread of its own so this thread can watch
     // the socket: a vanished client or a CANCEL frame turns into
-    // guard()->Cancel(), observed at the query's next checkpoint. The
-    // worker notifies wake_ the moment the statement returns (as does
-    // RequestStop), so the wait below has no timeout.
+    // guard()->Cancel(), observed at the query's next checkpoint. That
+    // thread notifies wake_ the moment the statement returns (as does
+    // RequestStop), so the wait below has no timeout. It is not a
+    // scheduler worker: a statement holds its thread for its whole run.
     std::optional<Result<StatementResult>> outcome;
+    std::atomic<bool> done{false};
     const bool write_statement = IsWriteStatement(request.query);
-    const bool started = worker_.Submit([&] {
+    std::thread exec_thread([&] {
       if (write_statement) {
         std::unique_lock<std::shared_mutex> db_lock(server_->db_mu_);
         outcome.emplace(
@@ -355,14 +262,15 @@ class QueryServer::Session {
         outcome.emplace(
             server_->db_->Execute(request.query, options, &executor_));
       }
+      // After done flips: a poller that drains the fd and then reads done
+      // false is sure to be woken again.
+      done.store(true, std::memory_order_release);
+      wake_.Notify();
     });
-    if (started) {
-      server_->workers_started_.fetch_add(1, std::memory_order_relaxed);
-    }
 
     bool disconnected = false;
     bool cancel_owed = false;
-    while (worker_.running()) {
+    while (!done.load(std::memory_order_acquire)) {
       if (stop_requested_.load(std::memory_order_relaxed)) cancel_owed = true;
       if (cancel_owed) executor_.guard()->Cancel();
       const int timeout_ms = cancel_owed ? kCancelRetryMs : -1;
@@ -403,6 +311,7 @@ class QueryServer::Session {
         }
       }
     }
+    exec_thread.join();
     // A re-issued cancel may land after the run cleared its guard; the
     // next statement must not inherit it.
     if (cancel_owed) executor_.guard()->ClearTripState();
@@ -482,8 +391,6 @@ class QueryServer::Session {
   const uint64_t id_;
   WakeFd wake_;  // notified when a statement returns, and by RequestStop
   Executor executor_;  // reused across every query on this connection
-  // Declared after wake_ and executor_, so it is joined before they die.
-  StatementWorker worker_{&wake_};
   std::thread thread_;
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> finished_{false};
@@ -602,7 +509,6 @@ ServerStatsSnapshot QueryServer::stats() const {
       queries_disconnected_.load(std::memory_order_relaxed);
   snapshot.cancel_frames = cancel_frames_.load(std::memory_order_relaxed);
   snapshot.wire_errors = wire_errors_.load(std::memory_order_relaxed);
-  snapshot.workers_started = workers_started_.load(std::memory_order_relaxed);
   return snapshot;
 }
 

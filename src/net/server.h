@@ -47,17 +47,15 @@ struct ServerStatsSnapshot {
   uint64_t queries_disconnected = 0;
   uint64_t cancel_frames = 0;
   uint64_t wire_errors = 0;
-  /// Statement worker threads started: one per session that ran a
-  /// statement, however many statements it ran.
-  uint64_t workers_started = 0;
 };
 
 /// TCP front end for one Database: accepts connections, speaks the framed
 /// protocol in net/wire.h, and runs queries concurrently across
 /// connections — each session owns one reused Executor, so guards and
 /// spill managers follow the executor-reuse discipline the embedded engine
-/// already guarantees, and one long-lived statement worker thread, kept
-/// off the scheduler's workers.
+/// already guarantees. Each statement runs on a thread of its own, kept
+/// off the scheduler's workers, while the session thread watches the
+/// socket.
 ///
 /// Robustness invariants (tested by net_service_test):
 ///   - every query ends in a clean Status: completion, a guard trip, an
@@ -67,14 +65,14 @@ struct ServerStatsSnapshot {
 ///     socket and completion fd with no timeout — plus one guard
 ///     checkpoint, and the session releases its admission slot, executor,
 ///     and spill files on the way out;
-///   - a response leaves the moment its statement returns: the session's
-///     worker notifies the completion fd, not a timer;
+///   - a response leaves the moment its statement returns: the
+///     statement's thread notifies the completion fd, not a timer;
 ///   - overload never accepts work it cannot start: beyond
 ///     max_concurrent + max_queue_depth, requests get typed REJECTED
 ///     frames immediately;
 ///   - Shutdown is graceful and idempotent: stop accepting, cancel active
 ///     queries, wake idle and busy sessions alike, join every session
-///     thread and its statement worker, then return.
+///     thread, then return.
 class QueryServer {
  public:
   /// `db` is not owned and must outlive the server. Statements that write
@@ -134,7 +132,6 @@ class QueryServer {
   std::atomic<uint64_t> queries_disconnected_{0};
   std::atomic<uint64_t> cancel_frames_{0};
   std::atomic<uint64_t> wire_errors_{0};
-  std::atomic<uint64_t> workers_started_{0};
 };
 
 }  // namespace tmdb

@@ -49,7 +49,7 @@ int64_t ElapsedMs(std::chrono::steady_clock::time_point start) {
 }
 
 /// Sends kLongQuery on a raw socket and reads its kAccepted grant, so the
-/// statement is on the session's worker when this returns.
+/// statement has been admitted and is about to run when this returns.
 void StartLongQuery(Socket* sock, uint64_t request_id) {
   WireRequest request;
   request.query = kLongQuery;
@@ -416,8 +416,7 @@ TEST_F(NetServiceTest, DisconnectStopsALongQueryPromptly) {
 
 TEST_F(NetServiceTest, ShutdownWakesIdleAndBusySessions) {
   StartServer(ServerOptions());
-  // Idle before any statement (no worker yet), idle after one (a worker
-  // waiting for its next statement), and busy on a long query.
+  // Idle before any statement, idle after one, and busy on a long query.
   QueryClient fresh = MakeClient();
   QueryClient used = MakeClient();
   ASSERT_TRUE(used.Run(kScanQuery).ok());
@@ -432,24 +431,6 @@ TEST_F(NetServiceTest, ShutdownWakesIdleAndBusySessions) {
   EXPECT_EQ(server_->stats().sessions_active, 0u);
   EXPECT_EQ(server_->stats().queries_ok, 1u);
   ExpectNoLeakedSpillFiles();
-}
-
-TEST_F(NetServiceTest, ConsecutiveQueriesRunOnOneWorkerPerSession) {
-  StartServer(ServerOptions());
-  QueryClient idle = MakeClient();
-  QueryClient first = MakeClient();
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(first.Run(i % 2 == 0 ? kScanQuery : kNestedQuery).ok());
-  }
-  // DDL and a failing statement reuse the same worker too.
-  ASSERT_TRUE(first.Run("CREATE TABLE W (a : INT)").ok());
-  ASSERT_FALSE(first.Run("SELECT x FROM Missing x").ok());
-  EXPECT_EQ(server_->stats().workers_started, 1u);
-
-  QueryClient second = MakeClient();
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(second.Run(kScanQuery).ok());
-  // One worker per session that ran a statement; the idle one has none.
-  EXPECT_EQ(server_->stats().workers_started, 2u);
 }
 
 // ThreadSanitizer instruments every lock and atomic on the round trip and

@@ -219,6 +219,18 @@ TEST(WirePayloadTest, RowsRoundtripThroughCanonicalCodec) {
   rows.push_back(Value::String("two"));
   rows.push_back(Value::Tuple({"a", "b"},
                               {Value::Int(3), Value::String("three")}));
+  // A set of tuples holding sets of sets: decoding keeps it canonical.
+  std::vector<Value> depts;
+  for (int64_t d = 4; d >= 0; --d) {
+    std::vector<Value> teams;
+    for (int64_t t = 0; t < 3; ++t) {
+      teams.push_back(Value::Set({Value::Int(d), Value::Int(t),
+                                  Value::Int(d * t)}));
+    }
+    depts.push_back(Value::Tuple(
+        {"dept", "teams"}, {Value::Int(d), Value::Set(std::move(teams))}));
+  }
+  rows.push_back(Value::Set(std::move(depts)));
   std::string payload;
   EncodeRowsPayload(rows, 0, rows.size(), &payload);
   std::vector<Value> decoded;
@@ -226,6 +238,7 @@ TEST(WirePayloadTest, RowsRoundtripThroughCanonicalCodec) {
   ASSERT_EQ(decoded.size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_TRUE(decoded[i] == rows[i]) << "row " << i;
+    EXPECT_EQ(decoded[i].Hash(), rows[i].Hash()) << "row " << i;
   }
   EXPECT_FALSE(DecodeRowsPayload(payload + "x", &decoded).ok());
 }

@@ -72,6 +72,17 @@ std::vector<Value> Corpus() {
       {Value::String("toys"),
        Value::Set({testutil::IntRow({"e", "sal"}, {1, 100}),
                    testutil::IntRow({"e", "sal"}, {2, 200})})}));
+  // Company-Q2 shape: a set of tuples, each holding a set of sets.
+  std::vector<Value> depts;
+  for (int64_t d = 4; d >= 0; --d) {
+    std::vector<Value> teams;
+    for (int64_t t = 0; t < 3; ++t) {
+      teams.push_back(testutil::IntSet({d, t, d * t}));
+    }
+    depts.push_back(Value::Tuple(
+        {"dept", "teams"}, {Value::Int(d), Value::Set(std::move(teams))}));
+  }
+  corpus.push_back(Value::Set(std::move(depts)));
   // 200 levels of nesting — far beyond any plan, far below the decoder cap.
   Value deep = Value::Int(0);
   for (int i = 0; i < 200; ++i) deep = Value::List({std::move(deep)});

@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
-#include "net/wire.h"
-#include "spill/value_codec.h"
 #include "tests/test_util.h"
 #include "values/value_ops.h"
 
@@ -72,43 +69,6 @@ TEST(ValueTest, NonCanonicalInputStillSortsAndDedups) {
       Value::Set({Value::Int(1), Value::Int(2)})));
   EXPECT_EQ(mixed_reversed.Hash(),
             Value::Set({Value::Int(1), Value::Int(2)}).Hash());
-}
-
-TEST(ValueTest, NestedSetSurvivesWireAndSpillRoundTrip) {
-  // A company-Q2-shaped row: a set of tuples, each holding a set of sets.
-  std::vector<Value> depts;
-  for (int d = 4; d >= 0; --d) {
-    std::vector<Value> teams;
-    for (int t = 0; t < 3; ++t) teams.push_back(IntSet({d, t, d * t}));
-    depts.push_back(Value::Tuple(
-        {"dept", "teams"}, {Value::Int(d), Value::Set(std::move(teams))}));
-  }
-  const Value original = Value::Set(std::move(depts));
-
-  // Spill codec.
-  std::string bytes;
-  EncodeValue(original, &bytes);
-  size_t pos = 0;
-  Value decoded;
-  ASSERT_TRUE(DecodeValue(bytes, &pos, &decoded).ok());
-  EXPECT_EQ(pos, bytes.size());
-  EXPECT_TRUE(decoded.Equals(original));
-  EXPECT_EQ(decoded.Hash(), original.Hash());
-  std::string reencoded;
-  EncodeValue(decoded, &reencoded);
-  EXPECT_EQ(reencoded, bytes);
-
-  // Wire rows payload.
-  const std::vector<Value> rows = {original, IntSet({7, 8})};
-  std::string payload;
-  EncodeRowsPayload(rows, 0, rows.size(), &payload);
-  std::vector<Value> wire_rows;
-  ASSERT_TRUE(DecodeRowsPayload(payload, &wire_rows).ok());
-  ASSERT_EQ(wire_rows.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_TRUE(wire_rows[i].Equals(rows[i])) << i;
-    EXPECT_EQ(wire_rows[i].Hash(), rows[i].Hash()) << i;
-  }
 }
 
 TEST(ValueTest, SetEqualityIsOrderInsensitive) {
