@@ -39,7 +39,7 @@ cmake --build build-tsan -j "$(nproc)" --target parallel_exec_test sched_test \
   fault_injection_test \
   spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
   differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test join_table_test
+  executor_reuse_soak_test join_table_test value_test
 ./build-tsan/tests/parallel_exec_test
 # sched_test is the work-stealing scheduler's own suite: deque discipline,
 # per-query caps, the multi-query soak (several tagged queries sharing the
@@ -63,15 +63,22 @@ cmake --build build-tsan -j "$(nproc)" --target parallel_exec_test sched_test \
 # join_table_test: the hash join's and ν's one table — morsel builds, and
 # parallel probes filling the shared per-slot sets (claim, wait, publish).
 ./build-tsan/tests/join_table_test
+# value_test: the lock-free names memo that parallel probes share.
+./build-tsan/tests/value_test
 
 # ASan pass over the same suites: every injected fault must unwind without
-# leaking operator, pool, or spill-file state.
+# leaking operator, pool, or spill-file state. Also over the value layer —
+# values are reps sized to their kind, reached by downcast, with a union
+# for the scalars — and the two codecs that decode them (spill and wire),
+# and over the budget sweep, which drives every spill path at fine budget
+# steps.
 cmake -B build-asan -S . -DTMDB_SANITIZE=address
 cmake --build build-asan -j "$(nproc)" --target parallel_exec_test sched_test \
   fault_injection_test \
   spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
   differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test join_table_test
+  executor_reuse_soak_test join_table_test value_test net_wire_test \
+  budget_sweep_test
 ./build-asan/tests/parallel_exec_test
 ./build-asan/tests/sched_test
 ./build-asan/tests/fault_injection_test
@@ -84,16 +91,21 @@ cmake --build build-asan -j "$(nproc)" --target parallel_exec_test sched_test \
 ./build-asan/tests/net_service_test
 ./build-asan/tests/executor_reuse_soak_test
 ./build-asan/tests/join_table_test
+./build-asan/tests/value_test
+./build-asan/tests/net_wire_test
+./build-asan/tests/budget_sweep_test
 
 # UBSan pass over the suites that drive JoinTable — the one hash table of
 # the hash join, the nest join's per-slot sets and ν/ν*'s grouping — on its
 # serial, parallel, spill and fault-unwind paths: signed overflow in key
 # hashing, misaligned or out-of-range slot and chain reads, and invalid
-# enum loads in the key-encoding switches abort the run here.
+# enum loads in the key-encoding switches abort the run here. The value
+# layer and the codecs run here too, for the reps' downcasts and union.
 cmake -B build-ubsan -S . -DTMDB_SANITIZE=undefined
 cmake --build build-ubsan -j "$(nproc)" --target columnar_exec_test \
   differential_exec_test spill_exec_test parallel_exec_test \
-  fault_injection_test join_table_test
+  fault_injection_test join_table_test value_test spill_codec_test \
+  net_wire_test
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ./build-ubsan/tests/columnar_exec_test
 ./build-ubsan/tests/differential_exec_test
@@ -101,5 +113,8 @@ export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ./build-ubsan/tests/parallel_exec_test
 ./build-ubsan/tests/fault_injection_test
 ./build-ubsan/tests/join_table_test
+./build-ubsan/tests/value_test
+./build-ubsan/tests/spill_codec_test
+./build-ubsan/tests/net_wire_test
 
 echo "tier1: OK"

@@ -241,6 +241,8 @@ Result<size_t> FilterOp::NextBatch(std::vector<Value>* out, size_t max) {
         ++appended;
       }
     }
+    // The rejected rows die here, not at the next call.
+    batch_.clear();
     if (appended > 0) return appended;
   }
 }
@@ -298,6 +300,9 @@ Result<size_t> MapOp::NextBatch(std::vector<Value>* out, size_t max) {
         ++appended;
       }
     }
+    // The input rows die here, not at the next call: above a join they are
+    // its output tuples, which the budget should stop counting once mapped.
+    batch_.clear();
     if (appended > 0) return appended;
   }
 }
@@ -316,6 +321,8 @@ std::string MapOp::Describe() const {
 
 Status UnnestOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
+  rest_names_.Clear();
+  out_names_.Clear();
   current_rest_.reset();
   current_elems_.clear();
   elem_pos_ = 0;
@@ -328,7 +335,8 @@ Result<std::optional<Value>> UnnestOp::Next() {
     TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
     if (current_rest_.has_value() && elem_pos_ < current_elems_.size()) {
       const Value& elem = current_elems_[elem_pos_++];
-      TMDB_ASSIGN_OR_RETURN(Value out, ConcatTuples(*current_rest_, elem));
+      TMDB_ASSIGN_OR_RETURN(Value out,
+                            ConcatTuples(*current_rest_, elem, &out_names_));
       ctx_->stats->rows_emitted++;
       return std::optional<Value>(std::move(out));
     }
@@ -341,14 +349,22 @@ Result<std::optional<Value>> UnnestOp::Next() {
                                       set.ToString()));
     }
     // Row minus the unnested attribute.
-    std::vector<std::string> names;
+    TMDB_ASSIGN_OR_RETURN(
+        TupleNames rest_names,
+        rest_names_.Get(row->FieldNames(), [&]() -> Result<TupleNames> {
+          std::vector<std::string> names;
+          for (const std::string& name : row->FieldNames().names()) {
+            if (name != attr_) names.push_back(name);
+          }
+          return TupleNames(std::move(names));
+        }));
     std::vector<Value> values;
+    values.reserve(rest_names.size());
     for (size_t i = 0; i < row->TupleSize(); ++i) {
-      if (row->FieldName(i) == attr_) continue;
-      names.push_back(row->FieldName(i));
-      values.push_back(row->FieldValue(i));
+      if (row->FieldName(i) != attr_) values.push_back(row->FieldValue(i));
     }
-    current_rest_ = Value::Tuple(std::move(names), std::move(values));
+    current_rest_ =
+        Value::SharedTuple(std::move(rest_names), std::move(values));
     current_elems_ = set.Elements();
     elem_pos_ = 0;
     // Rows with an empty set vanish (μ is not information-preserving).
@@ -356,6 +372,8 @@ Result<std::optional<Value>> UnnestOp::Next() {
 }
 
 void UnnestOp::Close() {
+  rest_names_.Clear();
+  out_names_.Clear();
   current_rest_.reset();
   current_elems_.clear();
   child_->Close();

@@ -14,6 +14,7 @@
 #include "exec/query_guard.h"
 #include "expr/eval.h"
 #include "expr/expr.h"
+#include "values/value_ops.h"
 
 namespace tmdb {
 
@@ -171,6 +172,10 @@ class UnnestOp final : public PhysicalOp {
   ExecContext* ctx_ = nullptr;
   std::optional<Value> current_rest_;   // row without attr
   std::vector<Value> current_elems_;    // elements still to emit
+  // Names lists of the rest tuples and of the output tuples, one per input
+  // shape.
+  TupleNamesMemo rest_names_;
+  TupleNamesMemo out_names_;
   size_t elem_pos_ = 0;
   uint64_t work_ = 0;  // rows examined, for periodic guard checks
 };

@@ -47,6 +47,7 @@ bool HashJoinOp::GroupsPerKey(const JoinSpec& spec) {
 
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
+  out_names_.Clear();
   probe_batch_.clear();
   serve_.clear();
   serve_pos_ = 0;
@@ -70,6 +71,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
     Status probed = ParallelProbe();
     if (probed.ok()) {
       materialized_ = true;
+      DropTable();
     } else if (SpillEligibleTrip(ctx, probed)) {
       // The build table fits but materialising the probe side blew the
       // budget. Fall back to the serial probe, which holds one left batch
@@ -118,8 +120,12 @@ Status HashJoinOp::BuildTable(ExecContext* ctx) {
   right_->Close();
 
   Status built = table_.Build(ctx, &rows);
-  if (built.ok() && slot_sets_) {
-    built = table_.ReserveSets();
+  if (built.ok()) {
+    if (slot_sets_) built = table_.ReserveSets();
+    // Charges defer their checkpoints to whole granules, so the finished
+    // table may stand over the budget unchecked. Check while a trip can
+    // still divert the build to disk; past here it lands above the join.
+    if (built.ok()) built = CheckGuard(ctx);
     if (!built.ok()) rows = table_.TakeRows();
   }
   if (built.ok() || !SpillEligibleTrip(ctx, built)) return built;
@@ -151,14 +157,16 @@ Status HashJoinOp::ProcessMatch(const JoinTable& table, const Value& left_row,
         TMDB_ASSIGN_OR_RETURN(bool match, eval_pred(right_row));
         if (match) {
           matched = true;
-          TMDB_ASSIGN_OR_RETURN(Value o, ConcatTuples(left_row, right_row));
+          TMDB_ASSIGN_OR_RETURN(
+              Value o, ConcatTuples(left_row, right_row, &out_names_));
           out->push_back(std::move(o));
         }
       }
       if (spec_.mode == JoinMode::kLeftOuter && !matched) {
         TMDB_ASSIGN_OR_RETURN(
             Value o,
-            ConcatTuples(left_row, NullTupleOfType(spec_.right_type)));
+            ConcatTuples(left_row, NullTupleOfType(spec_.right_type),
+                         &out_names_));
         out->push_back(std::move(o));
       }
       return Status::OK();
@@ -203,8 +211,9 @@ Status HashJoinOp::ProcessMatch(const JoinTable& table, const Value& left_row,
               return match ? image(right_row, group) : Status::OK();
             }));
       }
-      TMDB_ASSIGN_OR_RETURN(Value o,
-                            ExtendTuple(left_row, spec_.label, std::move(set)));
+      TMDB_ASSIGN_OR_RETURN(
+          Value o,
+          ExtendTuple(left_row, spec_.label, std::move(set), &out_names_));
       out->push_back(std::move(o));
       return Status::OK();
     }
@@ -306,12 +315,19 @@ Result<bool> HashJoinOp::Refill() {
     probe_batch_.clear();
     TMDB_ASSIGN_OR_RETURN(size_t got,
                           left_->NextBatch(&probe_batch_, kExecBatchSize));
-    if (got == 0) return false;
+    if (got == 0) {
+      DropTable();
+      return false;
+    }
     for (const Value& left_row : probe_batch_) {
       TMDB_RETURN_IF_ERROR(ProcessLeftRow(left_row, ctx_, &serve_));
     }
     if (!serve_.empty()) return true;
   }
+}
+
+void HashJoinOp::DropTable() {
+  build_res_.Shrink(table_.TakeRows().size() * sizeof(Value));
 }
 
 Result<std::optional<Value>> HashJoinOp::Next() {
@@ -342,6 +358,7 @@ Result<size_t> HashJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
 }
 
 void HashJoinOp::Close() {
+  out_names_.Clear();
   probe_batch_.clear();
   serve_.clear();
   serve_.shrink_to_fit();

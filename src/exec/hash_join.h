@@ -12,6 +12,7 @@
 #include "exec/join_table.h"
 #include "exec/physical_op.h"
 #include "exec/query_guard.h"
+#include "values/value_ops.h"
 
 namespace tmdb {
 
@@ -116,6 +117,10 @@ class HashJoinOp final : public PhysicalOp {
   /// Refills serve_ with the output of the next left batch; false at the
   /// end of the left input, or once a materialised output is served.
   Result<bool> Refill();
+  /// Frees the table and refunds its build rows once the probe input is
+  /// spent, rather than at Close: what the plan builds above the join gets
+  /// the budget the join no longer needs.
+  void DropTable();
   /// Appends the join output rows of one left row to `out` (all modes).
   Status ProcessLeftRow(const Value& left_row, ExecContext* ctx,
                         std::vector<Value>* out) const;
@@ -180,6 +185,8 @@ class HashJoinOp final : public PhysicalOp {
 
   // Bytes charged to the guard for build/probe materialisation.
   GuardReservation build_res_;
+  // Names lists of the output tuples, one per input shape.
+  mutable TupleNamesMemo out_names_;
 
   // Probe shortcuts: a literal-true residual predicate still counts one
   // predicate_eval per considered pair, and an identity G (= right_var)

@@ -144,6 +144,8 @@ Status HashJoinOp::ProcessSpillPartition(
   SpillReader build_reader(part.build_path, inj);
   Status load = [&]() -> Status {
     TMDB_RETURN_IF_ERROR(build_reader.Open());
+    ValueDecoder key_decoder;
+    ValueDecoder row_decoder;
     size_t i = 0;
     while (true) {
       std::string_view rec;
@@ -157,8 +159,8 @@ Status HashJoinOp::ProcessSpillPartition(
       size_t pos = 0;
       Value key;
       Value row;
-      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
-      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &row));
+      TMDB_RETURN_IF_ERROR(key_decoder.Decode(rec, &pos, &key));
+      TMDB_RETURN_IF_ERROR(row_decoder.Decode(rec, &pos, &row));
       TMDB_RETURN_IF_ERROR(slots.Add(sizeof(Value)));
       TMDB_RETURN_IF_ERROR(table.Add(ctx, std::move(row), std::move(key)));
     }
@@ -186,6 +188,8 @@ Status HashJoinOp::ProcessSpillPartition(
   SpillReader probe_reader(part.probe_path, inj);
   Status probe = [&]() -> Status {
     TMDB_RETURN_IF_ERROR(probe_reader.Open());
+    ValueDecoder key_decoder;
+    ValueDecoder row_decoder;
     std::vector<Value> row_out;
     size_t i = 0;
     while (true) {
@@ -202,8 +206,8 @@ Status HashJoinOp::ProcessSpillPartition(
       Value key;
       Value left_row;
       TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
-      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
-      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &left_row));
+      TMDB_RETURN_IF_ERROR(key_decoder.Decode(rec, &pos, &key));
+      TMDB_RETURN_IF_ERROR(row_decoder.Decode(rec, &pos, &left_row));
       TMDB_ASSIGN_OR_RETURN(uint32_t slot,
                             ProbeSlot(table, left_row, &key, ctx));
       row_out.clear();

@@ -199,6 +199,7 @@ Status MergeJoinOp::OpenSide(PhysicalOp* source, const std::vector<Expr>& keys,
 
 Status MergeJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
+  out_names_.Clear();
   left_side_.Reset(ctx->guard);
   right_side_.Reset(ctx->guard);
   left_cur_ = Keyed();
@@ -331,7 +332,8 @@ Result<std::optional<Value>> MergeJoinOp::Next() {
                                 EvalJoinPred(spec_, left_row, right_row, ctx_));
           if (match) {
             left_matched_ = true;
-            TMDB_ASSIGN_OR_RETURN(Value out, ConcatTuples(left_row, right_row));
+            TMDB_ASSIGN_OR_RETURN(
+                Value out, ConcatTuples(left_row, right_row, &out_names_));
             ctx_->stats->rows_emitted++;
             return std::optional<Value>(std::move(out));
           }
@@ -343,7 +345,8 @@ Result<std::optional<Value>> MergeJoinOp::Next() {
         if (emit_padded) {
           TMDB_ASSIGN_OR_RETURN(
               Value out,
-              ConcatTuples(padded_left, NullTupleOfType(spec_.right_type)));
+              ConcatTuples(padded_left, NullTupleOfType(spec_.right_type),
+                           &out_names_));
           ctx_->stats->rows_emitted++;
           return std::optional<Value>(std::move(out));
         }
@@ -385,7 +388,8 @@ Result<std::optional<Value>> MergeJoinOp::Next() {
         }
         TMDB_ASSIGN_OR_RETURN(Value out,
                               ExtendTuple(left_row, spec_.label,
-                                          Value::Set(std::move(group))));
+                                          Value::Set(std::move(group)),
+                                          &out_names_));
         left_consumed_ = true;
         ctx_->stats->rows_emitted++;
         return std::optional<Value>(std::move(out));
@@ -395,6 +399,7 @@ Result<std::optional<Value>> MergeJoinOp::Next() {
 }
 
 void MergeJoinOp::Close() {
+  out_names_.Clear();
   left_side_.Reset(nullptr);
   right_side_.Reset(nullptr);
   left_cur_ = Keyed();

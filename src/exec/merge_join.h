@@ -11,6 +11,7 @@
 #include "exec/physical_op.h"
 #include "exec/query_guard.h"
 #include "spill/external_sort.h"
+#include "values/value_ops.h"
 
 namespace tmdb {
 
@@ -121,6 +122,8 @@ class MergeJoinOp final : public PhysicalOp {
   bool left_consumed_ = true;  // true → advance to next left row
   bool left_matched_ = false;
   GuardReservation run_res_;   // right-run buffer slots (live-checked)
+  // Names lists of the output tuples, one per input shape.
+  mutable TupleNamesMemo out_names_;
   uint64_t work_ = 0;          // rows examined, for periodic guard checks
 };
 

@@ -24,6 +24,7 @@ bool NestOp::IsNullPadding(const Value& v) {
 
 Status NestOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
+  out_names_.Clear();
   output_.clear();
   pos_ = 0;
   build_res_.Reset(ctx->guard);
@@ -58,12 +59,12 @@ Status NestOp::Open(ExecContext* ctx) {
 
 Result<Value> NestOp::KeyOf(const Value& row) const {
   std::vector<Value> key_values;
-  key_values.reserve(group_attrs_.size());
-  for (const std::string& attr : group_attrs_) {
+  key_values.reserve(group_names_.size());
+  for (const std::string& attr : group_names_.names()) {
     TMDB_ASSIGN_OR_RETURN(Value v, row.Field(attr));
     key_values.push_back(std::move(v));
   }
-  return Value::Tuple(group_attrs_, std::move(key_values));
+  return Value::SharedTuple(group_names_, std::move(key_values));
 }
 
 Result<Value> NestOp::GroupTuple(const JoinTable& table, uint32_t slot) const {
@@ -75,7 +76,7 @@ Result<Value> NestOp::GroupTuple(const JoinTable& table, uint32_t slot) const {
         }
         return Status::OK();
       }));
-  return ExtendTuple(table.key(slot), label_, std::move(set));
+  return ExtendTuple(table.key(slot), label_, std::move(set), &out_names_);
 }
 
 Status NestOp::Group(const std::vector<Value>& rows) {
@@ -165,6 +166,7 @@ Result<size_t> NestOp::NextBatch(std::vector<Value>* out, size_t max) {
 }
 
 void NestOp::Close() {
+  out_names_.Clear();
   output_.clear();
   build_res_.Release();
   // Usually closed at the end of Open's drain; matters on mid-drain unwind.
@@ -173,7 +175,7 @@ void NestOp::Close() {
 
 std::string NestOp::Describe() const {
   return StrCat(null_group_to_empty_ ? "Nest*" : "Nest", "[by (",
-                Join(group_attrs_, ", "), "), ", var_, " : ",
+                Join(group_names_.names(), ", "), "), ", var_, " : ",
                 elem_.ToString(), "; ", label_, "]");
 }
 

@@ -10,6 +10,7 @@
 #include "exec/physical_op.h"
 #include "exec/query_guard.h"
 #include "expr/expr.h"
+#include "values/value_ops.h"
 
 namespace tmdb {
 
@@ -46,7 +47,7 @@ class NestOp final : public PhysicalOp {
          std::string var, Expr elem, std::string label,
          bool null_group_to_empty)
       : child_(std::move(child)),
-        group_attrs_(std::move(group_attrs)),
+        group_names_(std::move(group_attrs)),
         var_(std::move(var)),
         elem_(std::move(elem)),
         label_(std::move(label)),
@@ -83,7 +84,7 @@ class NestOp final : public PhysicalOp {
   static bool IsNullPadding(const Value& v);
 
   PhysicalOpPtr child_;
-  std::vector<std::string> group_attrs_;
+  TupleNames group_names_;  // every group key tuple shares this list
   std::string var_;
   Expr elem_;
   std::string label_;
@@ -93,6 +94,8 @@ class NestOp final : public PhysicalOp {
   std::vector<Value> output_;  // materialised at Open
   size_t pos_ = 0;
   GuardReservation build_res_;  // bytes charged for materialised input/output
+  // The output tuples' names list: the group key's plus the label.
+  mutable TupleNamesMemo out_names_;
 };
 
 }  // namespace tmdb

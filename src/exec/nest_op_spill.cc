@@ -132,6 +132,8 @@ Status NestOp::ProcessNestPartition(
     SpillReader reader(path, inj);
     Status load = [&]() -> Status {
       TMDB_RETURN_IF_ERROR(reader.Open());
+      ValueDecoder key_decoder;
+      ValueDecoder elem_decoder;
       size_t i = 0;
       while (true) {
         std::string_view rec;
@@ -147,8 +149,8 @@ Status NestOp::ProcessNestPartition(
         Value key;
         Value elem;
         TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
-        TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
-        TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &elem));
+        TMDB_RETURN_IF_ERROR(key_decoder.Decode(rec, &pos, &key));
+        TMDB_RETURN_IF_ERROR(elem_decoder.Decode(rec, &pos, &elem));
         TMDB_RETURN_IF_ERROR(slots.Add(2 * sizeof(Value)));
         const size_t groups = table.num_slots();
         TMDB_RETURN_IF_ERROR(table.Add(ctx_, std::move(elem), std::move(key)));

@@ -22,6 +22,7 @@ inline Status InnerLoopGuardCheck(ExecContext* ctx) {
 
 Status NestedLoopJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
+  out_names_.Clear();
   right_rows_.clear();
   current_left_.reset();
   right_pos_ = 0;
@@ -69,8 +70,9 @@ Result<std::optional<Value>> NestedLoopJoinOp::Next() {
               bool match, EvalJoinPred(spec_, *current_left_, right_row, ctx_));
           if (match) {
             left_matched_ = true;
-            TMDB_ASSIGN_OR_RETURN(Value out,
-                                  ConcatTuples(*current_left_, right_row));
+            TMDB_ASSIGN_OR_RETURN(
+                Value out,
+                ConcatTuples(*current_left_, right_row, &out_names_));
             ctx_->stats->rows_emitted++;
             return std::optional<Value>(std::move(out));
           }
@@ -80,8 +82,8 @@ Result<std::optional<Value>> NestedLoopJoinOp::Next() {
           // Pad with NULLs in the right attribute positions — the
           // relational fix that avoids losing dangling tuples.
           Value padded = NullTupleOfType(spec_.right_type);
-          TMDB_ASSIGN_OR_RETURN(Value out,
-                                ConcatTuples(*current_left_, padded));
+          TMDB_ASSIGN_OR_RETURN(
+              Value out, ConcatTuples(*current_left_, padded, &out_names_));
           current_left_.reset();
           ctx_->stats->rows_emitted++;
           return std::optional<Value>(std::move(out));
@@ -132,8 +134,9 @@ Result<std::optional<Value>> NestedLoopJoinOp::Next() {
         }
       }
       TMDB_ASSIGN_OR_RETURN(
-          Value out, ExtendTuple(*current_left_, spec_.label,
-                                 Value::Set(std::move(group))));
+          Value out,
+          ExtendTuple(*current_left_, spec_.label,
+                      Value::Set(std::move(group)), &out_names_));
       current_left_.reset();
       ctx_->stats->rows_emitted++;
       return std::optional<Value>(std::move(out));
@@ -143,6 +146,7 @@ Result<std::optional<Value>> NestedLoopJoinOp::Next() {
 }
 
 void NestedLoopJoinOp::Close() {
+  out_names_.Clear();
   right_rows_.clear();
   current_left_.reset();
   build_res_.Release();

@@ -8,6 +8,7 @@
 #include "exec/join_common.h"
 #include "exec/physical_op.h"
 #include "exec/query_guard.h"
+#include "values/value_ops.h"
 
 namespace tmdb {
 
@@ -42,6 +43,8 @@ class NestedLoopJoinOp final : public PhysicalOp {
   size_t right_pos_ = 0;                // inner cursor (kInner/kLeftOuter)
   bool left_matched_ = false;           // kLeftOuter bookkeeping
   GuardReservation build_res_;          // bytes charged for right_rows_
+  // Names lists of the output tuples, one per input shape.
+  mutable TupleNamesMemo out_names_;
 };
 
 }  // namespace tmdb

@@ -193,7 +193,7 @@ Result<Value> EvalExpr(const Expr& expr, const Environment& env,
         TMDB_ASSIGN_OR_RETURN(Value v, EvalExpr(c, env, subplans));
         values.push_back(std::move(v));
       }
-      return Value::Tuple(expr.ctor_names(), std::move(values));
+      return Value::SharedTuple(expr.ctor_tuple_names(), std::move(values));
     }
     case ExprKind::kSetCtor: {
       std::vector<Value> values;

@@ -30,8 +30,8 @@ struct ExprNode {
   //   kQuantifier: [collection, pred]
   //   kTupleCtor / kSetCtor: elements
   std::vector<Expr> children;
-  // kTupleCtor
-  std::vector<std::string> ctor_names;
+  // kTupleCtor: built once, shared by every tuple the constructor yields.
+  TupleNames ctor_names;
   // kSubplan
   std::shared_ptr<const SubplanBase> subplan;
 
@@ -299,7 +299,7 @@ Result<Expr> Expr::MakeTuple(std::vector<std::string> names,
   }
   auto node = std::make_shared<ExprNode>(ExprKind::kTupleCtor,
                                          Type::Tuple(std::move(fields)));
-  node->ctor_names = std::move(names);
+  node->ctor_names = TupleNames(std::move(names));
   node->children = std::move(elements);
   return Expr(std::move(node));
 }
@@ -424,6 +424,11 @@ const Expr& Expr::agg_arg() const {
 }
 
 const std::vector<std::string>& Expr::ctor_names() const {
+  TMDB_CHECK(is_tuple_ctor());
+  return node_->ctor_names.names();
+}
+
+const TupleNames& Expr::ctor_tuple_names() const {
   TMDB_CHECK(is_tuple_ctor());
   return node_->ctor_names;
 }

@@ -189,6 +189,8 @@ class Expr {
   const Expr& agg_arg() const;
   /// kTupleCtor payload.
   const std::vector<std::string>& ctor_names() const;
+  /// The same names as one shared list, for building the tuples.
+  const TupleNames& ctor_tuple_names() const;
   /// kTupleCtor / kSetCtor payload.
   const std::vector<Expr>& ctor_elements() const;
   /// kSubplan payload.

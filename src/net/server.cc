@@ -127,6 +127,10 @@ class QueryServer::Session {
       }
       if (!HandleQuery(frame)) break;
     }
+    // The fd closes only when the next accept reaps this session. Shut the
+    // socket down now, so a client still waiting on a reply after a wire or
+    // protocol error sees the connection end, not its receive timeout.
+    sock_.ShutdownBoth();
     finished_.store(true, std::memory_order_release);
   }
 

@@ -236,9 +236,10 @@ Status DecodeRowsPayload(std::string_view payload, std::vector<Value>* out) {
   size_t pos = 0;
   uint64_t count = 0;
   TMDB_RETURN_IF_ERROR(GetVarint(payload, &pos, &count));
+  ValueDecoder decoder;
   for (uint64_t i = 0; i < count; ++i) {
     Value row;
-    TMDB_RETURN_IF_ERROR(DecodeValue(payload, &pos, &row));
+    TMDB_RETURN_IF_ERROR(decoder.Decode(payload, &pos, &row));
     out->push_back(std::move(row));
   }
   if (pos != payload.size()) {

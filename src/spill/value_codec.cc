@@ -22,7 +22,7 @@ constexpr uint8_t kTagList = 0x08;    // varint n, then n values
 // Checksummed blocks mean malformed bytes normally never reach the decoder;
 // the depth cap is insurance against a header-corrupted length admitting a
 // pathological nest that would exhaust the stack.
-constexpr int kMaxDecodeDepth = 1000;
+constexpr size_t kMaxDecodeDepth = 1000;
 
 uint64_t ZigZag(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -34,110 +34,14 @@ int64_t UnZigZag(uint64_t v) {
 
 Status Truncated() { return Status::IoError("truncated value encoding"); }
 
-Status DecodeValueRec(std::string_view data, size_t* pos, int depth,
-                      Value* out);
-
-Status DecodeString(std::string_view data, size_t* pos, std::string* out) {
+// The next length-prefixed string, as a view into `data`.
+Status DecodeString(std::string_view data, size_t* pos, std::string_view* out) {
   uint64_t len = 0;
   TMDB_RETURN_IF_ERROR(GetVarint(data, pos, &len));
   if (len > data.size() - *pos) return Truncated();
-  out->assign(data.data() + *pos, static_cast<size_t>(len));
+  *out = data.substr(*pos, static_cast<size_t>(len));
   *pos += static_cast<size_t>(len);
   return Status::OK();
-}
-
-Status DecodeElements(std::string_view data, size_t* pos, int depth,
-                      std::vector<Value>* out) {
-  uint64_t n = 0;
-  TMDB_RETURN_IF_ERROR(GetVarint(data, pos, &n));
-  // Every element takes at least one byte, so n can never legitimately
-  // exceed the remaining input; reject before reserving.
-  if (n > data.size() - *pos) return Truncated();
-  out->reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    Value elem;
-    TMDB_RETURN_IF_ERROR(DecodeValueRec(data, pos, depth + 1, &elem));
-    out->push_back(std::move(elem));
-  }
-  return Status::OK();
-}
-
-Status DecodeValueRec(std::string_view data, size_t* pos, int depth,
-                      Value* out) {
-  if (depth > kMaxDecodeDepth) {
-    return Status::IoError("value encoding nested too deeply");
-  }
-  if (*pos >= data.size()) return Truncated();
-  const uint8_t tag = static_cast<uint8_t>(data[(*pos)++]);
-  switch (tag) {
-    case kTagNull:
-      *out = Value::Null();
-      return Status::OK();
-    case kTagFalse:
-      *out = Value::Bool(false);
-      return Status::OK();
-    case kTagTrue:
-      *out = Value::Bool(true);
-      return Status::OK();
-    case kTagInt: {
-      uint64_t zz = 0;
-      TMDB_RETURN_IF_ERROR(GetVarint(data, pos, &zz));
-      *out = Value::Int(UnZigZag(zz));
-      return Status::OK();
-    }
-    case kTagReal: {
-      if (data.size() - *pos < 8) return Truncated();
-      uint64_t bits = 0;
-      for (int i = 0; i < 8; ++i) {
-        bits |= static_cast<uint64_t>(static_cast<uint8_t>(data[*pos + i]))
-                << (8 * i);
-      }
-      *pos += 8;
-      double d;
-      std::memcpy(&d, &bits, sizeof d);
-      *out = Value::Real(d);
-      return Status::OK();
-    }
-    case kTagString: {
-      std::string s;
-      TMDB_RETURN_IF_ERROR(DecodeString(data, pos, &s));
-      *out = Value::String(std::move(s));
-      return Status::OK();
-    }
-    case kTagTuple: {
-      uint64_t n = 0;
-      TMDB_RETURN_IF_ERROR(GetVarint(data, pos, &n));
-      if (n > data.size() - *pos) return Truncated();
-      std::vector<std::string> names;
-      std::vector<Value> values;
-      names.reserve(static_cast<size_t>(n));
-      values.reserve(static_cast<size_t>(n));
-      for (uint64_t i = 0; i < n; ++i) {
-        std::string name;
-        TMDB_RETURN_IF_ERROR(DecodeString(data, pos, &name));
-        Value field;
-        TMDB_RETURN_IF_ERROR(DecodeValueRec(data, pos, depth + 1, &field));
-        names.push_back(std::move(name));
-        values.push_back(std::move(field));
-      }
-      *out = Value::Tuple(std::move(names), std::move(values));
-      return Status::OK();
-    }
-    case kTagSet: {
-      std::vector<Value> elems;
-      TMDB_RETURN_IF_ERROR(DecodeElements(data, pos, depth, &elems));
-      *out = Value::Set(std::move(elems));
-      return Status::OK();
-    }
-    case kTagList: {
-      std::vector<Value> elems;
-      TMDB_RETURN_IF_ERROR(DecodeElements(data, pos, depth, &elems));
-      *out = Value::List(std::move(elems));
-      return Status::OK();
-    }
-    default:
-      return Status::IoError("unknown value tag in spill data");
-  }
 }
 
 }  // namespace
@@ -218,7 +122,120 @@ void EncodeValue(const Value& v, std::string* out) {
 }
 
 Status DecodeValue(std::string_view data, size_t* pos, Value* out) {
-  return DecodeValueRec(data, pos, /*depth=*/0, out);
+  return ValueDecoder().Decode(data, pos, out);
+}
+
+Status ValueDecoder::Decode(std::string_view data, size_t* pos, Value* out) {
+  return DecodeRec(data, pos, /*depth=*/0, out);
+}
+
+Status ValueDecoder::DecodeElements(std::string_view data, size_t* pos,
+                                    size_t depth, std::vector<Value>* out) {
+  uint64_t n = 0;
+  TMDB_RETURN_IF_ERROR(GetVarint(data, pos, &n));
+  // Every element takes at least one byte, so n can never legitimately
+  // exceed the remaining input; reject before reserving.
+  if (n > data.size() - *pos) return Truncated();
+  out->reserve(static_cast<size_t>(n));
+  for (uint64_t i = 0; i < n; ++i) {
+    Value elem;
+    TMDB_RETURN_IF_ERROR(DecodeRec(data, pos, depth + 1, &elem));
+    out->push_back(std::move(elem));
+  }
+  return Status::OK();
+}
+
+Status ValueDecoder::DecodeTuple(std::string_view data, size_t* pos,
+                                 size_t depth, Value* out) {
+  uint64_t n = 0;
+  TMDB_RETURN_IF_ERROR(GetVarint(data, pos, &n));
+  if (n > data.size() - *pos) return Truncated();
+  if (shapes_.size() <= depth) shapes_.resize(depth + 1);
+  // The names are compared against the last list at this depth as they
+  // arrive; only a mismatch copies them out. A copy of the handle, as the
+  // fields' own tuples may grow shapes_.
+  const TupleNames last = shapes_[depth];
+  bool same = last.size() == n;
+  std::vector<std::string> names;
+  std::vector<Value> values;
+  values.reserve(static_cast<size_t>(n));
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string_view name;
+    TMDB_RETURN_IF_ERROR(DecodeString(data, pos, &name));
+    if (same && last[i] != name) {
+      same = false;
+      names.reserve(static_cast<size_t>(n));
+      names.assign(last.names().begin(), last.names().begin() + i);
+    }
+    if (!same) names.emplace_back(name);
+    Value field;
+    TMDB_RETURN_IF_ERROR(DecodeRec(data, pos, depth + 1, &field));
+    values.push_back(std::move(field));
+  }
+  if (!same) shapes_[depth] = TupleNames(std::move(names));
+  *out = Value::SharedTuple(shapes_[depth], std::move(values));
+  return Status::OK();
+}
+
+Status ValueDecoder::DecodeRec(std::string_view data, size_t* pos,
+                               size_t depth, Value* out) {
+  if (depth > kMaxDecodeDepth) {
+    return Status::IoError("value encoding nested too deeply");
+  }
+  if (*pos >= data.size()) return Truncated();
+  const uint8_t tag = static_cast<uint8_t>(data[(*pos)++]);
+  switch (tag) {
+    case kTagNull:
+      *out = Value::Null();
+      return Status::OK();
+    case kTagFalse:
+      *out = Value::Bool(false);
+      return Status::OK();
+    case kTagTrue:
+      *out = Value::Bool(true);
+      return Status::OK();
+    case kTagInt: {
+      uint64_t zz = 0;
+      TMDB_RETURN_IF_ERROR(GetVarint(data, pos, &zz));
+      *out = Value::Int(UnZigZag(zz));
+      return Status::OK();
+    }
+    case kTagReal: {
+      if (data.size() - *pos < 8) return Truncated();
+      uint64_t bits = 0;
+      for (int i = 0; i < 8; ++i) {
+        bits |= static_cast<uint64_t>(static_cast<uint8_t>(data[*pos + i]))
+                << (8 * i);
+      }
+      *pos += 8;
+      double d;
+      std::memcpy(&d, &bits, sizeof d);
+      *out = Value::Real(d);
+      return Status::OK();
+    }
+    case kTagString: {
+      std::string_view s;
+      TMDB_RETURN_IF_ERROR(DecodeString(data, pos, &s));
+      *out = Value::String(std::string(s));
+      return Status::OK();
+    }
+    case kTagTuple:
+      return DecodeTuple(data, pos, depth, out);
+    case kTagSet: {
+      std::vector<Value> elems;
+      TMDB_RETURN_IF_ERROR(DecodeElements(data, pos, depth, &elems));
+      *out = Value::Set(std::move(elems));
+      return Status::OK();
+    }
+    case kTagList: {
+      std::vector<Value> elems;
+      TMDB_RETURN_IF_ERROR(DecodeElements(data, pos, depth, &elems));
+      *out = Value::List(std::move(elems));
+      return Status::OK();
+    }
+    default:
+      return Status::IoError("unknown value tag in spill data");
+  }
 }
 
 }  // namespace tmdb

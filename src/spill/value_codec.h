@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "base/status.h"
 #include "values/value.h"
@@ -32,6 +33,25 @@ void EncodeValue(const Value& v, std::string* out);
 /// (sorted, duplicate-free) even if the bytes were not; canonical bytes,
 /// which EncodeValue always writes, cost one O(n) order check, no sort.
 Status DecodeValue(std::string_view data, size_t* pos, Value* out);
+
+/// DecodeValue over a stream of values (a rows payload, a spill file):
+/// a decoded tuple whose names equal those of the last tuple decoded at
+/// the same nesting depth shares that tuple's names list, so n rows of one
+/// shape carry one list. Decodes exactly what DecodeValue decodes.
+class ValueDecoder {
+ public:
+  Status Decode(std::string_view data, size_t* pos, Value* out);
+
+ private:
+  Status DecodeRec(std::string_view data, size_t* pos, size_t depth,
+                   Value* out);
+  Status DecodeElements(std::string_view data, size_t* pos, size_t depth,
+                        std::vector<Value>* out);
+  Status DecodeTuple(std::string_view data, size_t* pos, size_t depth,
+                     Value* out);
+
+  std::vector<TupleNames> shapes_;  // last names list per nesting depth
+};
 
 }  // namespace tmdb
 

@@ -13,6 +13,7 @@ namespace tmdb {
 
 namespace internal_values {
 struct ValueRep;
+struct NamesRep;
 }  // namespace internal_values
 
 /// Kinds of runtime values. kNull exists only to represent the padding the
@@ -29,6 +30,34 @@ enum class ValueKind {
   kTuple,
   kSet,   // canonical: sorted by Value::Compare, duplicate-free
   kList,
+};
+
+/// The attribute names of a tuple, in order: an immutable list that every
+/// tuple built from the same handle shares. Sites that build many tuples of
+/// one shape (a tuple constructor, a join's output, a decoded row stream)
+/// build the handle once and pass it to Value::SharedTuple per row, so each
+/// tuple holds one pointer instead of its own copy of the names. Copying a
+/// handle is a reference-count increment.
+class TupleNames {
+ public:
+  /// The empty list.
+  TupleNames();
+  /// Names must be distinct; checked in debug via TMDB_CHECK.
+  explicit TupleNames(std::vector<std::string> names);
+
+  size_t size() const;
+  const std::string& operator[](size_t i) const;
+  const std::vector<std::string>& names() const;
+
+  /// True when both handles hold the very same list (not merely equal
+  /// names); tuples built from one handle answer true pairwise.
+  bool SameList(const TupleNames& other) const { return rep_ == other.rep_; }
+  /// Same names in the same order.
+  bool operator==(const TupleNames& other) const;
+
+ private:
+  friend class Value;
+  std::shared_ptr<const internal_values::NamesRep> rep_;
 };
 
 /// An immutable complex-object value: atoms, tuples with named attributes,
@@ -53,6 +82,9 @@ class Value {
   /// Tuple with attributes `names[i] = values[i]`. Names must be distinct;
   /// checked in debug via TMDB_CHECK.
   static Value Tuple(std::vector<std::string> names, std::vector<Value> values);
+  /// Tuple over a shared names list: the cheap form for many rows of one
+  /// shape.
+  static Value SharedTuple(TupleNames names, std::vector<Value> values);
   /// Set: `elements` are sorted and deduplicated (TM sets are duplicate-free).
   static Value Set(std::vector<Value> elements);
   static Value EmptySet();
@@ -86,6 +118,8 @@ class Value {
   /// Tuple accessors; require is_tuple().
   size_t TupleSize() const;
   const std::string& FieldName(size_t i) const;
+  /// The tuple's shared names list.
+  const TupleNames& FieldNames() const;
   const Value& FieldValue(size_t i) const;
   /// Pointer to the attribute value, or nullptr if the name is absent.
   const Value* FindField(const std::string& name) const;
@@ -117,9 +151,15 @@ class Value {
   using Rep = internal_values::ValueRep;
   explicit Value(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
 
+  /// The tuple's children (attribute values) or a collection's elements.
+  const std::vector<Value>& children() const;
+
   /// Uncached structural hash; Hash() memoises it in the shared rep.
   uint64_t ComputeHash() const;
 
+  /// Points at a rep sized to its kind (value.cc): a common header plus
+  /// one scalar, one string, the children, or the children and a names
+  /// list.
   std::shared_ptr<const Rep> rep_;
 };
 

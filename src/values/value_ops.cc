@@ -139,64 +139,112 @@ Result<Value> UnnestSetOfSets(const Value& s) {
   return Value::Set(std::move(out));
 }
 
-Result<Value> ConcatTuples(const Value& x, const Value& y) {
+const TupleNames& TupleNamesMemo::NoNames() {
+  static const auto& none = *new TupleNames();
+  return none;
+}
+
+const TupleNames* TupleNamesMemo::Find(const TupleNames& left,
+                                       const TupleNames& right) const {
+  // The same lists first (a pointer compare per slot), then equal names.
+  for (const std::atomic<Entry*>& slot : slots_) {
+    const Entry* e = slot.load(std::memory_order_acquire);
+    if (e == nullptr) break;
+    if (e->left.SameList(left) && e->right.SameList(right)) return &e->out;
+  }
+  for (const std::atomic<Entry*>& slot : slots_) {
+    const Entry* e = slot.load(std::memory_order_acquire);
+    if (e == nullptr) break;
+    if (e->left == left && e->right == right) return &e->out;
+  }
+  return nullptr;
+}
+
+void TupleNamesMemo::Insert(const TupleNames& left, const TupleNames& right,
+                            const TupleNames& out) {
+  // Every slot taken: this shape goes unmemoised.
+  if (slots_.back().load(std::memory_order_acquire) != nullptr) return;
+  auto* entry = new Entry{left, right, out};
+  for (std::atomic<Entry*>& slot : slots_) {
+    Entry* expected = nullptr;
+    if (slot.compare_exchange_strong(expected, entry,
+                                     std::memory_order_acq_rel)) {
+      return;
+    }
+  }
+  delete entry;  // other threads took the last slots first
+}
+
+void TupleNamesMemo::Clear() {
+  for (std::atomic<Entry*>& slot : slots_) {
+    delete slot.exchange(nullptr, std::memory_order_relaxed);
+  }
+}
+
+Result<Value> ConcatTuples(const Value& x, const Value& y,
+                           TupleNamesMemo* memo) {
   if (!x.is_tuple() || !y.is_tuple()) {
     return Status::TypeError(StrCat("tuple concatenation requires tuples, got ",
                                     x.ToString(), " and ", y.ToString()));
   }
-  std::vector<std::string> names;
-  std::vector<Value> values;
-  names.reserve(x.TupleSize() + y.TupleSize());
-  values.reserve(x.TupleSize() + y.TupleSize());
-  for (size_t i = 0; i < x.TupleSize(); ++i) {
-    names.push_back(x.FieldName(i));
-    values.push_back(x.FieldValue(i));
-  }
-  for (size_t i = 0; i < y.TupleSize(); ++i) {
-    if (x.FindField(y.FieldName(i)) != nullptr) {
-      return Status::TypeError(StrCat("duplicate attribute '", y.FieldName(i),
-                                      "' in tuple concatenation"));
+  auto derive = [&]() -> Result<TupleNames> {
+    std::vector<std::string> names;
+    names.reserve(x.TupleSize() + y.TupleSize());
+    names.insert(names.end(), x.FieldNames().names().begin(),
+                 x.FieldNames().names().end());
+    for (const std::string& name : y.FieldNames().names()) {
+      if (x.FindField(name) != nullptr) {
+        return Status::TypeError(
+            StrCat("duplicate attribute '", name, "' in tuple concatenation"));
+      }
+      names.push_back(name);
     }
-    names.push_back(y.FieldName(i));
-    values.push_back(y.FieldValue(i));
-  }
-  return Value::Tuple(std::move(names), std::move(values));
+    return TupleNames(std::move(names));
+  };
+  TMDB_ASSIGN_OR_RETURN(
+      TupleNames names,
+      memo == nullptr ? derive()
+                      : memo->Get(x.FieldNames(), y.FieldNames(), derive));
+  std::vector<Value> values;
+  values.reserve(x.TupleSize() + y.TupleSize());
+  for (size_t i = 0; i < x.TupleSize(); ++i) values.push_back(x.FieldValue(i));
+  for (size_t i = 0; i < y.TupleSize(); ++i) values.push_back(y.FieldValue(i));
+  return Value::SharedTuple(std::move(names), std::move(values));
 }
 
 Result<Value> ExtendTuple(const Value& x, const std::string& label,
-                          const Value& v) {
+                          const Value& v, TupleNamesMemo* memo) {
   if (!x.is_tuple()) {
     return Status::TypeError(
         StrCat("tuple extension requires a tuple, got ", x.ToString()));
   }
-  if (x.FindField(label) != nullptr) {
-    return Status::TypeError(StrCat("nest join label '", label,
-                                    "' already occurs on the top level of ",
-                                    x.ToString()));
-  }
-  std::vector<std::string> names;
+  auto derive = [&]() -> Result<TupleNames> {
+    if (x.FindField(label) != nullptr) {
+      return Status::TypeError(StrCat("nest join label '", label,
+                                      "' already occurs on the top level of ",
+                                      x.ToString()));
+    }
+    std::vector<std::string> names;
+    names.reserve(x.TupleSize() + 1);
+    names.insert(names.end(), x.FieldNames().names().begin(),
+                 x.FieldNames().names().end());
+    names.push_back(label);
+    return TupleNames(std::move(names));
+  };
+  TMDB_ASSIGN_OR_RETURN(
+      TupleNames names,
+      memo == nullptr ? derive()
+                      : memo->Get(x.FieldNames(), derive));
   std::vector<Value> values;
-  names.reserve(x.TupleSize() + 1);
   values.reserve(x.TupleSize() + 1);
-  for (size_t i = 0; i < x.TupleSize(); ++i) {
-    names.push_back(x.FieldName(i));
-    values.push_back(x.FieldValue(i));
-  }
-  names.push_back(label);
+  for (size_t i = 0; i < x.TupleSize(); ++i) values.push_back(x.FieldValue(i));
   values.push_back(v);
-  return Value::Tuple(std::move(names), std::move(values));
+  return Value::SharedTuple(std::move(names), std::move(values));
 }
 
 Value NullTupleLike(const Value& proto) {
-  std::vector<std::string> names;
-  std::vector<Value> values;
-  names.reserve(proto.TupleSize());
-  values.reserve(proto.TupleSize());
-  for (size_t i = 0; i < proto.TupleSize(); ++i) {
-    names.push_back(proto.FieldName(i));
-    values.push_back(Value::Null());
-  }
-  return Value::Tuple(std::move(names), std::move(values));
+  return Value::SharedTuple(proto.FieldNames(),
+                            std::vector<Value>(proto.TupleSize()));
 }
 
 Value NullTupleOfType(const Type& tuple_type) {

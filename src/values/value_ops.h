@@ -1,6 +1,8 @@
 #ifndef TMDB_VALUES_VALUE_OPS_H_
 #define TMDB_VALUES_VALUE_OPS_H_
 
+#include <array>
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -30,13 +32,72 @@ Result<Value> SetDisjoint(const Value& a, const Value& b);
 /// paper — the one SELECT-nesting that avoids grouping).
 Result<Value> UnnestSetOfSets(const Value& s);
 
-/// Concatenation x ++ y of two tuples (the regular join's output tuple).
-/// Attribute names must be disjoint.
-Result<Value> ConcatTuples(const Value& x, const Value& y);
+/// The attribute lists one operator derives for its output tuples — x ++ y,
+/// x ++ (label = v), x less an attribute — built once per input shape and
+/// shared by every output tuple of that shape, so a join emitting n rows
+/// builds one names list, not n. Keyed by the input lists (the same list,
+/// or failing that equal names); the derivation itself is the caller's, so
+/// one memo serves one derivation (one label, one dropped attribute).
+///
+/// Lookups are lock-free and safe from an operator's parallel workers;
+/// Clear() is not, so call it between runs (Open/Close). It holds a few
+/// input shapes; a tuple of a further shape gets a list of its own, as
+/// without the memo.
+class TupleNamesMemo {
+ public:
+  TupleNamesMemo() = default;
+  ~TupleNamesMemo() { Clear(); }
+  TupleNamesMemo(const TupleNamesMemo&) = delete;
+  TupleNamesMemo& operator=(const TupleNamesMemo&) = delete;
 
-/// x ++ (label = v): the nest join's output tuple (paper Section 6).
+  /// The list derived from (left, right): the memoised one, or `derive()`'s,
+  /// which is memoised while a slot is free.
+  template <typename Derive>
+  Result<TupleNames> Get(const TupleNames& left, const TupleNames& right,
+                         Derive&& derive) {
+    if (const TupleNames* hit = Find(left, right)) return *hit;
+    TMDB_ASSIGN_OR_RETURN(TupleNames out, derive());
+    Insert(left, right, out);
+    return out;
+  }
+  /// The one-input form: the list derived from `in` alone.
+  template <typename Derive>
+  Result<TupleNames> Get(const TupleNames& in, Derive&& derive) {
+    return Get(in, NoNames(), derive);
+  }
+
+  /// Drops every memoised list.
+  void Clear();
+
+ private:
+  struct Entry {
+    TupleNames left;
+    TupleNames right;
+    TupleNames out;
+  };
+  static constexpr size_t kSlots = 4;
+
+  /// The absent right-hand list of a one-input derivation: one shared
+  /// handle, so a lookup copies no reference count.
+  static const TupleNames& NoNames();
+  const TupleNames* Find(const TupleNames& left,
+                         const TupleNames& right) const;
+  void Insert(const TupleNames& left, const TupleNames& right,
+              const TupleNames& out);
+
+  std::array<std::atomic<Entry*>, kSlots> slots_{};
+};
+
+/// Concatenation x ++ y of two tuples (the regular join's output tuple).
+/// Attribute names must be disjoint. With a memo, tuples of one pair of
+/// shapes share one output names list.
+Result<Value> ConcatTuples(const Value& x, const Value& y,
+                           TupleNamesMemo* memo = nullptr);
+
+/// x ++ (label = v): the nest join's output tuple (paper Section 6). A memo
+/// must only ever see one label.
 Result<Value> ExtendTuple(const Value& x, const std::string& label,
-                          const Value& v);
+                          const Value& v, TupleNamesMemo* memo = nullptr);
 
 /// A tuple with the same attributes as `proto` but every attribute NULL.
 /// Used by the outerjoin to pad dangling tuples (Ganski–Wong baseline).

@@ -10,12 +10,13 @@ namespace tmdb {
 
 namespace {
 
-Value IntTuple(const std::vector<std::string>& names,
-               const std::vector<int64_t>& values) {
+// Every row of a table is built over one names list, which its tuples
+// share.
+Value IntTuple(const TupleNames& names, const std::vector<int64_t>& values) {
   std::vector<Value> fields;
   fields.reserve(values.size());
   for (int64_t v : values) fields.push_back(Value::Int(v));
-  return Value::Tuple(names, std::move(fields));
+  return Value::SharedTuple(names, std::move(fields));
 }
 
 Value RandomIntSet(Random* rng, size_t max_size, int64_t domain) {
@@ -54,10 +55,12 @@ Status LoadCountBugTables(Database* db, const CountBugConfig& config) {
       (config.domain_scale < 1 ? 1 : config.domain_scale);
   const int64_t matched_domain = static_cast<int64_t>(
       static_cast<double>(full_domain) * config.match_fraction);
+  const TupleNames r_names({"a", "b", "c"});
+  const TupleNames s_names({"c", "d"});
   for (size_t i = 0; i < config.num_r; ++i) {
     TMDB_RETURN_IF_ERROR(InsertRow(
         r.get(),
-        IntTuple({"a", "b", "c"},
+        IntTuple(r_names,
                  {static_cast<int64_t>(i), rng.UniformInt(0, config.max_b),
                   rng.UniformInt(0, full_domain - 1)})));
   }
@@ -66,7 +69,7 @@ Status LoadCountBugTables(Database* db, const CountBugConfig& config) {
                           ? rng.UniformInt(0, matched_domain - 1)
                           : 0;
     TMDB_RETURN_IF_ERROR(InsertRow(
-        s.get(), IntTuple({"c", "d"}, {c, static_cast<int64_t>(i)})));
+        s.get(), IntTuple(s_names, {c, static_cast<int64_t>(i)})));
   }
   return Status::OK();
 }
@@ -85,14 +88,16 @@ Status LoadSubsetBugTables(Database* db, const SubsetBugConfig& config) {
       (config.domain_scale < 1 ? 1 : config.domain_scale);
   const int64_t matched_domain = static_cast<int64_t>(
       static_cast<double>(full_domain) * config.match_fraction);
+  const TupleNames x_names({"a", "b"});
+  const TupleNames y_names({"a", "b"});
   for (size_t i = 0; i < config.num_x; ++i) {
     Value a = rng.Bernoulli(config.empty_a_fraction)
                   ? Value::EmptySet()
                   : RandomIntSet(&rng, config.max_set_size,
                                  config.value_domain);
     TMDB_RETURN_IF_ERROR(InsertRow(
-        x.get(), Value::Tuple({"a", "b"},
-                              {std::move(a),
+        x.get(), Value::SharedTuple(
+                     x_names, {std::move(a),
                                Value::Int(rng.UniformInt(
                                    0, full_domain - 1))})));
   }
@@ -102,7 +107,7 @@ Status LoadSubsetBugTables(Database* db, const SubsetBugConfig& config) {
                           : 0;
     TMDB_RETURN_IF_ERROR(InsertRow(
         y.get(),
-        IntTuple({"a", "b"}, {rng.UniformInt(0, config.value_domain - 1), b})));
+        IntTuple(y_names, {rng.UniformInt(0, config.value_domain - 1), b})));
   }
   return Status::OK();
 }
@@ -122,10 +127,13 @@ Status LoadSection8Tables(Database* db, const Section8Config& config) {
   TMDB_ASSIGN_OR_RETURN(
       auto z, db->CreateTable("Z", Type::Tuple({{"c", Type::Int()},
                                                 {"d", Type::Int()}})));
+  const TupleNames x_names({"a", "b"});
+  const TupleNames y_names({"a", "b", "c", "d"});
+  const TupleNames z_names({"c", "d"});
   for (size_t i = 0; i < config.num_x; ++i) {
     TMDB_RETURN_IF_ERROR(InsertRow(
         x.get(),
-        Value::Tuple({"a", "b"},
+        Value::SharedTuple(x_names,
                      {RandomIntSet(&rng, config.max_set_size,
                                    config.value_domain),
                       Value::Int(rng.UniformInt(0, config.b_domain - 1))})));
@@ -133,8 +141,8 @@ Status LoadSection8Tables(Database* db, const Section8Config& config) {
   for (size_t i = 0; i < config.num_y; ++i) {
     TMDB_RETURN_IF_ERROR(InsertRow(
         y.get(),
-        Value::Tuple(
-            {"a", "b", "c", "d"},
+        Value::SharedTuple(
+            y_names,
             {Value::Int(rng.UniformInt(0, config.value_domain - 1)),
              Value::Int(rng.UniformInt(0, config.b_domain - 1)),
              RandomIntSet(&rng, config.max_set_size, config.value_domain),
@@ -143,8 +151,8 @@ Status LoadSection8Tables(Database* db, const Section8Config& config) {
   for (size_t i = 0; i < config.num_z; ++i) {
     TMDB_RETURN_IF_ERROR(InsertRow(
         z.get(),
-        IntTuple({"c", "d"}, {rng.UniformInt(0, config.value_domain - 1),
-                              rng.UniformInt(0, config.d_domain - 1)})));
+        IntTuple(z_names, {rng.UniformInt(0, config.value_domain - 1),
+                           rng.UniformInt(0, config.d_domain - 1)})));
   }
   return Status::OK();
 }
@@ -171,9 +179,13 @@ Status LoadCompanyTables(Database* db, const CompanyConfig& config) {
   TMDB_ASSIGN_OR_RETURN(auto emp, db->CreateTable("EMP", emp_schema));
   TMDB_ASSIGN_OR_RETURN(auto dept, db->CreateTable("DEPT", dept_schema));
 
+  const TupleNames address_names({"street", "nr", "city"});
+  const TupleNames child_names({"name", "age"});
+  const TupleNames emp_names({"name", "address", "sal", "children"});
+  const TupleNames dept_names({"dname", "address", "emps"});
   auto make_address = [&](Random* r) {
-    return Value::Tuple(
-        {"street", "nr", "city"},
+    return Value::SharedTuple(
+        address_names,
         {Value::String(StrCat("street", r->Uniform(config.num_streets))),
          Value::String(StrCat(1 + r->Uniform(99))),
          Value::String(StrCat("city", r->Uniform(config.num_cities)))});
@@ -185,17 +197,17 @@ Status LoadCompanyTables(Database* db, const CompanyConfig& config) {
     const size_t n_children = rng.Uniform(config.max_children + 1);
     for (size_t k = 0; k < n_children; ++k) {
       children.push_back(
-          Value::Tuple({"name", "age"},
-                       {Value::String(StrCat("child", i, "_", k)),
-                        Value::Int(rng.UniformInt(0, 17))}));
+          Value::SharedTuple(child_names,
+                             {Value::String(StrCat("child", i, "_", k)),
+                              Value::Int(rng.UniformInt(0, 17))}));
     }
     Value name = Value::String(StrCat("emp", i));
     TMDB_RETURN_IF_ERROR(InsertRow(
         emp.get(),
-        Value::Tuple({"name", "address", "sal", "children"},
-                     {name, make_address(&rng),
-                      Value::Int(rng.UniformInt(20000, 90000)),
-                      Value::Set(std::move(children))})));
+        Value::SharedTuple(emp_names,
+                           {name, make_address(&rng),
+                            Value::Int(rng.UniformInt(20000, 90000)),
+                            Value::Set(std::move(children))})));
     if (config.num_depts > 0) {
       dept_members[rng.Uniform(config.num_depts)].push_back(std::move(name));
     }
@@ -203,9 +215,10 @@ Status LoadCompanyTables(Database* db, const CompanyConfig& config) {
   for (size_t i = 0; i < config.num_depts; ++i) {
     TMDB_RETURN_IF_ERROR(InsertRow(
         dept.get(),
-        Value::Tuple({"dname", "address", "emps"},
-                     {Value::String(StrCat("dept", i)), make_address(&rng),
-                      Value::Set(std::move(dept_members[i]))})));
+        Value::SharedTuple(dept_names,
+                           {Value::String(StrCat("dept", i)),
+                            make_address(&rng),
+                            Value::Set(std::move(dept_members[i]))})));
   }
   return Status::OK();
 }
@@ -231,6 +244,8 @@ Status LoadCorrelatedTables(Database* db, const CorrelatedConfig& config) {
   // small hot set — the branch is guarded so the fraction-0 RNG stream (and
   // every existing workload's data) is untouched.
   const int64_t hot_set = scale < 8 ? scale : 8;
+  const TupleNames o_names({"a", "k", "v"});
+  const TupleNames i_names({"k", "v"});
   for (size_t i = 0; i < config.num_outer; ++i) {
     int64_t k = static_cast<int64_t>(i) % scale;
     if (config.hot_key_fraction > 0) {
@@ -241,15 +256,15 @@ Status LoadCorrelatedTables(Database* db, const CorrelatedConfig& config) {
     }
     TMDB_RETURN_IF_ERROR(InsertRow(
         o.get(),
-        IntTuple({"a", "k", "v"},
+        IntTuple(o_names,
                  {static_cast<int64_t>(i), k,
                   rng.UniformInt(0, config.value_domain - 1)})));
   }
   for (size_t i = 0; i < config.num_inner; ++i) {
     TMDB_RETURN_IF_ERROR(InsertRow(
         inner.get(),
-        IntTuple({"k", "v"}, {rng.UniformInt(0, scale - 1),
-                              rng.UniformInt(0, config.value_domain - 1)})));
+        IntTuple(i_names, {rng.UniformInt(0, scale - 1),
+                           rng.UniformInt(0, config.value_domain - 1)})));
   }
   return Status::OK();
 }
@@ -262,17 +277,19 @@ Status LoadScaleTables(Database* db, const ScaleConfig& config) {
   TMDB_ASSIGN_OR_RETURN(
       auto y, db->CreateTable("Y", Type::Tuple({{"b", Type::Int()},
                                                 {"c", Type::Int()}})));
+  const TupleNames x_names({"a", "b"});
+  const TupleNames y_names({"b", "c"});
   for (size_t i = 0; i < config.num_x; ++i) {
     TMDB_RETURN_IF_ERROR(InsertRow(
         x.get(),
-        IntTuple({"a", "b"}, {rng.UniformInt(0, config.a_domain - 1),
-                              rng.UniformInt(0, config.b_domain - 1)})));
+        IntTuple(x_names, {rng.UniformInt(0, config.a_domain - 1),
+                           rng.UniformInt(0, config.b_domain - 1)})));
   }
   for (size_t i = 0; i < config.num_y; ++i) {
     TMDB_RETURN_IF_ERROR(InsertRow(
         y.get(),
-        IntTuple({"b", "c"}, {rng.UniformInt(0, config.b_domain - 1),
-                              rng.UniformInt(0, config.a_domain - 1)})));
+        IntTuple(y_names, {rng.UniformInt(0, config.b_domain - 1),
+                           rng.UniformInt(0, config.a_domain - 1)})));
   }
   return Status::OK();
 }

@@ -486,10 +486,15 @@ TEST_F(NetServiceTest, ClientSideWireFaultSweepPoisonsOnlyTheConnection) {
     // Send faults fire on the request frame; the recv fault fires on the
     // first response read. Either way Run fails with kIoError.
     client_injector.ArmWire(kind, 1);
+    const auto start = std::chrono::steady_clock::now();
     Result<ClientResult> result = client.Run(kScanQuery);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kIoError)
         << result.status().ToString();
+    // The server ends a connection it cannot use at once: the failure
+    // arrives well inside the client's 5000 ms receive timeout.
+    EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
     // The wire error killed this connection...
     EXPECT_FALSE(client.connected());
     client_injector.DisarmWire();

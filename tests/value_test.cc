@@ -2,10 +2,44 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <limits>
+#include <new>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "core/database.h"
+#include "spill/value_codec.h"
 #include "tests/test_util.h"
+#include "values/value_mem.h"
 #include "values/value_ops.h"
+#include "workload/generators.h"
+
+// Counts this thread's heap allocations while a test asks it to, so the
+// rep tests can pin what each kind of value really allocates.
+namespace {
+thread_local bool g_counting = false;
+thread_local size_t g_allocations = 0;
+thread_local size_t g_allocated_bytes = 0;
+}  // namespace
+
+// The replacements hand out malloc'd memory and free it the same way.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(size_t n) {
+  if (g_counting) {
+    ++g_allocations;
+    g_allocated_bytes += n;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace tmdb {
 namespace {
@@ -301,6 +335,371 @@ TEST(NullPaddingTest, NullTupleOfType) {
   EXPECT_EQ(padded.TupleSize(), 2u);
   EXPECT_TRUE(padded.FieldValue(0).is_null());
   EXPECT_TRUE(padded.FieldValue(1).is_null());
+}
+
+// ------------------------------------------------------ per-kind reps
+
+struct Allocations {
+  size_t count = 0;
+  size_t bytes = 0;
+  int64_t charged = 0;  // ValueMemory bytes the allocations were charged
+};
+
+/// What `build()` allocates and charges. The values it builds stay alive
+/// in `keep` (reserved up front), so no allocation is elided or freed
+/// before it is counted.
+template <typename Build>
+Allocations Measure(std::vector<Value>* keep, Build build) {
+  keep->reserve(keep->size() + 4);
+  ValueMemory::EnableTracking();
+  const int64_t before = ValueMemory::LiveBytes();
+  g_allocations = 0;
+  g_allocated_bytes = 0;
+  g_counting = true;
+  build(keep);
+  g_counting = false;
+  Allocations a{g_allocations, g_allocated_bytes,
+                ValueMemory::LiveBytes() - before};
+  ValueMemory::DisableTracking();
+  return a;
+}
+
+TEST(ValueRepTest, EachKindAllocatesOnlyItsOwnPayload) {
+  std::vector<Value> keep;
+  // A Bool, an Int or a Real is one allocation: a 16-byte header, its
+  // 8-byte payload and the shared_ptr control block.
+  const Allocations i = Measure(
+      &keep, [](std::vector<Value>* k) { k->push_back(Value::Int(7)); });
+  EXPECT_EQ(i.count, 1u);
+  EXPECT_LE(i.bytes, 40u);
+  const Allocations r = Measure(
+      &keep, [](std::vector<Value>* k) { k->push_back(Value::Real(2.5)); });
+  EXPECT_EQ(r.count, 1u);
+  EXPECT_LE(r.bytes, 40u);
+  const Allocations b = Measure(
+      &keep, [](std::vector<Value>* k) { k->push_back(Value::Bool(true)); });
+  EXPECT_EQ(b.count, 1u);
+  EXPECT_LE(b.bytes, 40u);
+  // NULL and the empty set are shared singletons.
+  const Allocations singletons = Measure(&keep, [](std::vector<Value>* k) {
+    k->push_back(Value::Null());
+    k->push_back(Value::EmptySet());
+  });
+  EXPECT_EQ(singletons.count, 0u);
+  // A short string lives in its rep; a long one adds its buffer.
+  const Allocations short_string = Measure(
+      &keep, [](std::vector<Value>* k) { k->push_back(Value::String("hi")); });
+  EXPECT_EQ(short_string.count, 1u);
+  EXPECT_LE(short_string.bytes, 64u);
+  // A tuple over a shared names list is its rep plus its value slots; the
+  // list itself is not copied.
+  const TupleNames names({"a", "b"});
+  std::vector<Value> fields = {Value::Int(1), Value::Int(2)};
+  const Allocations tuple = Measure(&keep, [&](std::vector<Value>* k) {
+    k->push_back(Value::SharedTuple(names, fields));
+  });
+  EXPECT_EQ(tuple.count, 2u);
+  EXPECT_LE(tuple.bytes, 72u + 2 * sizeof(Value));
+}
+
+TEST(ValueRepTest, TrackingChargesWhatIsReallyAllocated) {
+  std::vector<Value> keep;
+  const TupleNames names({"a", "b"});
+  std::vector<Value> fields = {Value::Int(1), Value::Int(2)};
+  std::vector<Value> elements = {Value::Int(1), Value::Int(2), Value::Int(3)};
+  const std::vector<std::function<void(std::vector<Value>*)>> builds = {
+      [](std::vector<Value>* k) { k->push_back(Value::Int(7)); },
+      [](std::vector<Value>* k) { k->push_back(Value::Real(-0.0)); },
+      [](std::vector<Value>* k) { k->push_back(Value::String("hi")); },
+      [](std::vector<Value>* k) {
+        k->push_back(Value::String(std::string(100, 'x')));
+      },
+      [&](std::vector<Value>* k) {
+        k->push_back(Value::SharedTuple(names, fields));
+      },
+      [&](std::vector<Value>* k) { k->push_back(Value::Set(elements)); },
+      [&](std::vector<Value>* k) { k->push_back(Value::List(elements)); },
+  };
+  for (size_t b = 0; b < builds.size(); ++b) {
+    const Allocations a = Measure(&keep, builds[b]);
+    EXPECT_EQ(a.charged, static_cast<int64_t>(a.bytes)) << "build " << b;
+  }
+  // A names list charges its own allocations once, when built: its rep,
+  // the names' slots and heap buffers, and their hashes.
+  TupleNames built;
+  const Allocations list = Measure(&keep, [&](std::vector<Value>*) {
+    std::vector<std::string> names;
+    names.reserve(2);
+    names.emplace_back("first");
+    names.emplace_back("a_name_longer_than_the_small_string_buffer");
+    built = TupleNames(std::move(names));
+  });
+  EXPECT_EQ(list.charged, static_cast<int64_t>(list.bytes));
+}
+
+TEST(ValueRepTest, TuplesOfOneShapeShareOneNamesList) {
+  // Rows of one generated table share its list.
+  Database db;
+  CountBugConfig config;
+  config.num_r = 20;
+  config.num_s = 40;
+  TMDB_ASSERT_OK(LoadCountBugTables(&db, config));
+  // One tuple constructor: every row it builds holds the same list.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      QueryResult built, db.Run("SELECT (a = x.a, c = x.c) FROM R x"));
+  ASSERT_GE(built.rows.size(), 2u);
+  for (const Value& row : built.rows) {
+    EXPECT_TRUE(row.FieldNames().SameList(built.rows[0].FieldNames()));
+  }
+  // The nest join's output: x ++ (label = set), one list per left shape.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      QueryResult nested,
+      db.Run("SELECT (a = x.a, zs = SELECT y.d FROM S y WHERE x.c = y.c) "
+             "FROM R x"));
+  ASSERT_GE(nested.rows.size(), 2u);
+  for (const Value& row : nested.rows) {
+    EXPECT_TRUE(row.FieldNames().SameList(nested.rows[0].FieldNames()));
+  }
+  // ExtendTuple and ConcatTuples with a memo: one output list per input
+  // shape, equal lists included.
+  TupleNamesMemo memo;
+  const Value x1 = testutil::IntRow({"a"}, {1});
+  const Value x2 = testutil::IntRow({"a"}, {2});  // its own, equal list
+  TMDB_ASSERT_OK_AND_ASSIGN(Value e1, ExtendTuple(x1, "g", IntSet({1}), &memo));
+  TMDB_ASSERT_OK_AND_ASSIGN(Value e2, ExtendTuple(x2, "g", IntSet({2}), &memo));
+  EXPECT_TRUE(e1.FieldNames().SameList(e2.FieldNames()));
+  EXPECT_EQ(e1.ToString(), "<a = 1, g = {1}>");
+  TupleNamesMemo concat_memo;
+  const Value y = testutil::IntRow({"b"}, {3});
+  TMDB_ASSERT_OK_AND_ASSIGN(Value c1, ConcatTuples(x1, y, &concat_memo));
+  TMDB_ASSERT_OK_AND_ASSIGN(Value c2, ConcatTuples(x2, y, &concat_memo));
+  EXPECT_TRUE(c1.FieldNames().SameList(c2.FieldNames()));
+  EXPECT_FALSE(ConcatTuples(x1, x2, &concat_memo).ok());  // duplicate 'a'
+  // A decoded stream: equal names at one depth share the previous list.
+  std::string bytes;
+  EncodeValue(built.rows[0], &bytes);
+  EncodeValue(built.rows[1], &bytes);
+  ValueDecoder decoder;
+  size_t pos = 0;
+  Value d1;
+  Value d2;
+  TMDB_ASSERT_OK(decoder.Decode(bytes, &pos, &d1));
+  TMDB_ASSERT_OK(decoder.Decode(bytes, &pos, &d2));
+  EXPECT_TRUE(d1.FieldNames().SameList(d2.FieldNames()));
+  EXPECT_TRUE(d1.Equals(built.rows[0]));
+  EXPECT_TRUE(d2.Equals(built.rows[1]));
+}
+
+TEST(ValueRepTest, NamesMemoServesConcurrentLookups) {
+  // Parallel probes share one operator's memo. More input shapes than it
+  // has slots, each as several equal lists, from four threads at once:
+  // every output must carry its own input's names plus the label.
+  std::vector<Value> inputs;
+  for (int shape = 0; shape < 6; ++shape) {
+    for (int copy = 0; copy < 3; ++copy) {
+      inputs.push_back(testutil::IntRow(
+          {"a" + std::to_string(shape), "b"}, {shape, copy}));
+    }
+  }
+  TupleNamesMemo memo;
+  std::vector<std::thread> threads;
+  std::vector<int> wrong(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 2000; ++i) {
+        const Value& x = inputs[(i * 7 + t) % inputs.size()];
+        Result<Value> out = ExtendTuple(x, "g", Value::EmptySet(), &memo);
+        if (!out.ok() || out->TupleSize() != 3 ||
+            out->FieldName(0) != x.FieldName(0) || out->FieldName(2) != "g") {
+          ++wrong[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+}
+
+/// One corpus value with what it must render, encode and hash to: the
+/// figures the single-rep layout produced, pinned so the per-kind reps and
+/// shared names lists change none of them.
+struct Expected {
+  const char* text;
+  const char* encoding;  // EncodeValue bytes, hex
+  uint64_t hash;
+};
+
+std::vector<Value> Corpus() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {
+      Value::Null(),
+      Value::Bool(false),
+      Value::Bool(true),
+      Value::Int(0),
+      Value::Int(-7),
+      Value::Int(1),
+      Value::Real(1.0),
+      Value::Real(-0.0),
+      Value::Real(0.0),
+      Value::Real(nan),
+      Value::Real(2.5),
+      Value::Int(9007199254740993),
+      Value::String(""),
+      Value::String("a\"b"),
+      Value::EmptySet(),
+      Value::Set({Value::Int(3), Value::Real(2.5), Value::Int(1)}),
+      Value::Set({Value::Int(1), Value::Real(1.0)}),
+      Value::List({Value::Int(1), Value::Int(1)}),
+      Value::List({}),
+      Value::Tuple({"a", "b"}, {Value::Int(1), Value::String("x")}),
+      Value::Tuple({"b"}, {Value::Int(1)}),
+      Value::Set(
+          {Value::Tuple({"a", "b"}, {Value::Int(2), Value::String("y")}),
+           Value::Tuple({"a", "b"}, {Value::Int(1), Value::String("x")})}),
+      Value::Tuple(
+          {"dept", "emps", "none"},
+          {Value::String("toys"),
+           Value::Set({Value::Tuple({"name"}, {Value::String("bob")}),
+                       Value::Tuple({"name"}, {Value::String("ann")})}),
+           Value::EmptySet()}),
+  };
+}
+
+std::string Hex(const std::string& bytes) {
+  std::string out;
+  char buf[4];
+  for (unsigned char c : bytes) {
+    std::snprintf(buf, sizeof buf, "%02x", c);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(ValueRepTest, CorpusRendersEncodesHashesAndOrdersAsPinned) {
+  const Expected expected[] = {
+      {"NULL", "00", 0x000000006e756c6cULL},
+      {"false", "01", 0x0000000066616c73ULL},
+      {"true", "02", 0x0000000074727565ULL},
+      {"0", "0300", 0x7c93dc55213f6da2ULL},
+      {"-7", "030d", 0x7c8704552135273eULL},
+      {"1", "0302", 0x7a3def551f43981bULL},
+      {"1.0", "04000000000000f03f", 0x7a3def551f43981bULL},
+      {"-0.0", "040000000000000080", 0x7c93dc55213f6da2ULL},
+      {"0.0", "040000000000000000", 0x7c93dc55213f6da2ULL},
+      {"nan", "04000000000000f87f", 0x7a58af551f59f313ULL},
+      {"2.5", "040000000000000440", 0x7ca1b455214b6706ULL},
+      {"9007199254740993", "038280808080808020", 0x7bba9b5520870e6fULL},
+      {"\"\"", "0500", 0xcbf29ce4f7565114ULL},
+      {"\"a\\\"b\"", "0503612262", 0x00f8cb82306450efULL},
+      {"{}", "0700", 0x9e3780efaea79776ULL},
+      {"{1, 2.5, 3}", "070303020400000000000004400306",
+       0x810e8306249e3284ULL},
+      {"{1}", "07010302", 0x179650d96f3abe63ULL},
+      {"[1, 1]", "080203020302", 0x688f7acf4dfff5a2ULL},
+      {"[]", "0800", 0x000000006c697374ULL},
+      {"<a = 1, b = \"x\">", "0602016103020162050178",
+       0xdc1f6e715697365eULL},
+      {"<b = 1>", "060101620302", 0x9ec890df78b827d6ULL},
+      {"{<a = 1, b = \"x\">, <a = 2, b = \"y\">}",
+       "070206020161030201620501780602016103040162050179",
+       0xe8a0317915c725e1ULL},
+      {"<dept = \"toys\", emps = {<name = \"ann\">, <name = \"bob\">}, "
+       "none = {}>",
+       "060304646570740504746f797304656d707307020601046e616d650503616e6e06"
+       "01046e616d650503626f62046e6f6e650700",
+       0x70bbfde8635fa253ULL},
+  };
+  // Compare(corpus[i], corpus[j]) as '-', '0' or '+'. NaN compares equal
+  // to every number: CompareDoubles finds it neither less nor greater.
+  const char* order[] = {
+      "0----------------------", "+0---------------------",
+      "++0--------------------", "+++0+--000-------------",
+      "+++-0----0-------------", "+++++00++0-------------",
+      "+++++00++0-------------", "+++0+--000-------------",
+      "+++0+--000-------------", "+++000000000-----------",
+      "+++++++++00------------", "+++++++++0+0-----------",
+      "++++++++++++0----------", "+++++++++++++0---------",
+      "++++++++++++++0----++-+", "+++++++++++++++0+--++-+",
+      "+++++++++++++++-0--++-+", "+++++++++++++++++0+++++",
+      "+++++++++++++++++-0++++", "++++++++++++++-----0---",
+      "++++++++++++++-----+0--", "+++++++++++++++++--++0+",
+      "++++++++++++++-----++-0",
+  };
+  const std::vector<Value> corpus = Corpus();
+  ASSERT_EQ(corpus.size(), std::size(expected));
+  ASSERT_EQ(corpus.size(), std::size(order));
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    SCOPED_TRACE(expected[i].text);
+    EXPECT_EQ(corpus[i].ToString(), expected[i].text);
+    std::string bytes;
+    EncodeValue(corpus[i], &bytes);
+    EXPECT_EQ(Hex(bytes), expected[i].encoding);
+    EXPECT_EQ(corpus[i].Hash(), expected[i].hash);
+    // Decoding gives back an equal value that encodes to the same bytes.
+    size_t pos = 0;
+    Value decoded;
+    TMDB_ASSERT_OK(DecodeValue(bytes, &pos, &decoded));
+    std::string again;
+    EncodeValue(decoded, &again);
+    EXPECT_EQ(again, bytes);
+    EXPECT_EQ(decoded.Hash(), expected[i].hash);
+    std::string row;
+    for (size_t j = 0; j < corpus.size(); ++j) {
+      const int c = corpus[i].Compare(corpus[j]);
+      row += c < 0 ? '-' : (c > 0 ? '+' : '0');
+    }
+    EXPECT_EQ(row, order[i]);
+  }
+}
+
+TEST(ValueRepTest, LiveBytesReturnToBaselineOncePinnedListsGo) {
+  ValueMemory::EnableTracking();
+  const int64_t baseline = ValueMemory::LiveBytes();
+  {
+    // The list outlives its first tuple: the second keeps it charged.
+    Value first;
+    Value second;
+    {
+      const TupleNames names({"a", "b"});
+      first = Value::SharedTuple(names, {Value::Int(1), Value::Int(2)});
+      second = Value::SharedTuple(names, {Value::Int(3), Value::Int(4)});
+    }
+    const int64_t both = ValueMemory::LiveBytes();
+    first = Value();
+    const int64_t one = ValueMemory::LiveBytes();
+    EXPECT_LT(one, both);
+    // What is left is the second tuple, its values and the list.
+    std::vector<Value> keep;
+    const Allocations alone = Measure(&keep, [](std::vector<Value>* k) {
+      k->push_back(Value::SharedTuple(TupleNames({"a", "b"}),
+                                      {Value::Int(3), Value::Int(4)}));
+    });
+    EXPECT_EQ(one - baseline, alone.charged);
+  }
+  EXPECT_EQ(ValueMemory::LiveBytes(), baseline);
+  ValueMemory::DisableTracking();
+
+  // A budgeted, spilling query: once its rows go, every byte it charged is
+  // refunded — the join's and the decoder's shared lists included.
+  Database db;
+  CountBugConfig config;
+  config.num_r = 120;
+  config.num_s = 240;
+  TMDB_ASSERT_OK(LoadCountBugTables(&db, config));
+  const int64_t before = ValueMemory::LiveBytes();
+  {
+    RunOptions options;
+    options.memory_budget_bytes = 48 << 10;
+    options.enable_spill = true;
+    TMDB_ASSERT_OK_AND_ASSIGN(
+        QueryResult result,
+        db.Run("UNNEST(SELECT (SELECT (a = x.a, d = y.d) FROM S y "
+               "WHERE x.c = y.c) FROM R x)",
+               options));
+    EXPECT_GT(result.stats.spill_partitions, 0u);
+    EXPECT_GT(ValueMemory::LiveBytes(), before);
+  }
+  EXPECT_EQ(ValueMemory::LiveBytes(), before);
 }
 
 }  // namespace
