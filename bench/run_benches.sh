@@ -153,6 +153,21 @@ trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR" "$SUBPLAN_OUT_DIR" "$COLUMNAR_OUT_DIR" 
 )
 merge "$SCHED_OUT_DIR" "$REPO_ROOT/BENCH_sched.json"
 
+# Value codec suite: the service's kRows payload encode, the client's
+# decode and the drop of the decoded rows for three response shapes (int
+# pairs, int triples, sets of short strings), five interleaved
+# repetitions. The committed file also keeps, under "parent", the run of
+# the commit before scalars moved into the Value handle; a rerun here
+# rewrites only the fresh side.
+CODEC_OUT_DIR="$(mktemp -d)"
+trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR" "$SUBPLAN_OUT_DIR" "$COLUMNAR_OUT_DIR" "$STRATEGY_OUT_DIR" "$SCHED_OUT_DIR" "$CODEC_OUT_DIR"' EXIT
+(
+  OUT_DIR="$CODEC_OUT_DIR"
+  run bench_value_codec --benchmark_repetitions=5 \
+    --benchmark_enable_random_interleaving=true
+)
+merge "$CODEC_OUT_DIR" "$REPO_ROOT/BENCH_value_codec.json"
+
 # Compare the fresh numbers against the committed baselines; warns on
 # median real_time regressions past max(15%, 2 x cv) (pass --strict via
 # BENCH_DIFF_ARGS to make that fatal in CI).

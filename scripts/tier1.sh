@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: normal build + full ctest, then sanitizer builds of
-# the suites that exercise cross-thread interleavings and error-unwind
-# paths — TSan for races, ASan for leaks/overflows on the fault-injection
-# unwinds (a mid-build abort that leaks shows up here, not in ctest), UBSan
-# for undefined behaviour on the shared hash table's paths.
+# Tier-1 verification: normal build + full ctest, then sanitizer builds:
+# TSan over the suites that exercise cross-thread interleavings, ASan over
+# every suite for leaks/overflows (a mid-build abort that leaks shows up
+# here, not in ctest), UBSan for undefined behaviour on the shared hash
+# table's and the value layer's paths.
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -63,44 +63,28 @@ cmake --build build-tsan -j "$(nproc)" --target parallel_exec_test sched_test \
 # join_table_test: the hash join's and ν's one table — morsel builds, and
 # parallel probes filling the shared per-slot sets (claim, wait, publish).
 ./build-tsan/tests/join_table_test
-# value_test: the lock-free names memo that parallel probes share.
+# value_test: the lock-free names memo that parallel probes share, and
+# handles to one rep copied and dropped from several threads.
 ./build-tsan/tests/value_test
 
-# ASan pass over the same suites: every injected fault must unwind without
-# leaking operator, pool, or spill-file state. Also over the value layer —
-# values are reps sized to their kind, reached by downcast, with a union
-# for the scalars — and the two codecs that decode them (spill and wire),
-# and over the budget sweep, which drives every spill path at fine budget
-# steps.
+# ASan pass over every ctest suite: every injected fault must unwind
+# without leaking operator, pool, or spill-file state, and every suite
+# copies and drops values, whose String/Tuple/Set/List reps are freed by
+# their own reference counts — a missed or extra release anywhere shows up
+# here as a use-after-free or a LeakSanitizer leak. The whole tree is
+# built: one build runs its targets in parallel, where a list of targets
+# builds one after another.
 cmake -B build-asan -S . -DTMDB_SANITIZE=address
-cmake --build build-asan -j "$(nproc)" --target parallel_exec_test sched_test \
-  fault_injection_test \
-  spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
-  differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test join_table_test value_test net_wire_test \
-  budget_sweep_test
-./build-asan/tests/parallel_exec_test
-./build-asan/tests/sched_test
-./build-asan/tests/fault_injection_test
-./build-asan/tests/spill_codec_test
-./build-asan/tests/spill_exec_test
-./build-asan/tests/subplan_cache_test
-./build-asan/tests/columnar_exec_test
-./build-asan/tests/differential_exec_test
-./build-asan/tests/cost_model_test
-./build-asan/tests/net_service_test
-./build-asan/tests/executor_reuse_soak_test
-./build-asan/tests/join_table_test
-./build-asan/tests/value_test
-./build-asan/tests/net_wire_test
-./build-asan/tests/budget_sweep_test
+cmake --build build-asan -j "$(nproc)"
+(cd build-asan && ctest --output-on-failure -j "$(nproc)")
 
 # UBSan pass over the suites that drive JoinTable — the one hash table of
 # the hash join, the nest join's per-slot sets and ν/ν*'s grouping — on its
 # serial, parallel, spill and fault-unwind paths: signed overflow in key
 # hashing, misaligned or out-of-range slot and chain reads, and invalid
 # enum loads in the key-encoding switches abort the run here. The value
-# layer and the codecs run here too, for the reps' downcasts and union.
+# layer and the codecs run here too, for the reps' downcasts and the
+# handle's payload union.
 cmake -B build-ubsan -S . -DTMDB_SANITIZE=undefined
 cmake --build build-ubsan -j "$(nproc)" --target columnar_exec_test \
   differential_exec_test spill_exec_test parallel_exec_test \

@@ -8,18 +8,33 @@
 namespace tmdb {
 
 void Environment::Bind(const std::string& name, Value value) {
-  for (auto& [n, v] : bindings_) {
+  for (size_t i = 0; i < num_inline_; ++i) {
+    if (inline_[i].first == name) {
+      inline_[i].second = std::move(value);
+      return;
+    }
+  }
+  for (auto& [n, v] : more_) {
     if (n == name) {
       v = std::move(value);
       return;
     }
   }
-  bindings_.emplace_back(name, std::move(value));
+  if (num_inline_ < kInlineBindings) {
+    inline_[num_inline_].first = name;
+    inline_[num_inline_].second = std::move(value);
+    ++num_inline_;
+    return;
+  }
+  more_.emplace_back(name, std::move(value));
 }
 
 const Value* Environment::Lookup(const std::string& name) const {
   for (const Environment* env = this; env != nullptr; env = env->parent_) {
-    for (const auto& [n, v] : env->bindings_) {
+    for (size_t i = 0; i < env->num_inline_; ++i) {
+      if (env->inline_[i].first == name) return &env->inline_[i].second;
+    }
+    for (const auto& [n, v] : env->more_) {
       if (n == name) return &v;
     }
   }

@@ -34,9 +34,17 @@ class Environment {
   const Value* Lookup(const std::string& name) const;
 
  private:
+  using Binding = std::pair<std::string, Value>;
+  static constexpr size_t kInlineBindings = 2;
+
   const Environment* parent_;
-  // Frames are tiny (one or two variables); linear scan beats a map.
-  std::vector<std::pair<std::string, Value>> bindings_;
+  // Frames are tiny (a join binds its two row variables, a quantifier one),
+  // so the first bindings live in the object and a frame allocates nothing
+  // for them; any further ones go to `more_`. Names are distinct within a
+  // frame, and a linear scan beats a map.
+  Binding inline_[kInlineBindings];
+  size_t num_inline_ = 0;
+  std::vector<Binding> more_;
 };
 
 struct ExecStats;

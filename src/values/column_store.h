@@ -20,8 +20,8 @@ enum class ColumnKind { kInt64, kFloat64, kBool, kString };
 
 /// Dictionary for one string column. Codes are assigned in first-occurrence
 /// order; the dictionary keeps the first-seen Value *handle* per distinct
-/// string, so decoding a code hands back the original shared ValueRep — no
-/// re-allocation on the column → row round trip. Interning itself is keyed
+/// string, so decoding a code hands back the original shared string rep —
+/// no re-allocation on the column → row round trip. Interning itself is keyed
 /// by Value (ValueHash/ValueEq), which routes every lookup through the
 /// rep's memoised structural hash.
 class StringDict {
@@ -85,7 +85,7 @@ class ColumnStore {
   int ColumnIndex(const std::string& name) const;
   const std::string& column_name(size_t i) const { return names_[i]; }
   const Column& column(size_t i) const { return cols_[i]; }
-  /// The original row handle for `id` — shares the table row's ValueRep.
+  /// The original row handle for `id` — shares the table row's tuple rep.
   const Value& RowValue(uint32_t id) const { return rows_[id]; }
 
  private:

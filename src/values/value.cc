@@ -16,78 +16,63 @@ namespace tmdb {
 
 namespace internal_values {
 
-// The header every rep starts with. Each kind's rep adds only its own
-// payload, so an Int costs a 24-byte rep rather than room for every kind.
-struct ValueRep {
-  explicit ValueRep(ValueKind k) : kind(k) {}
-  ~ValueRep() {
-    if (tracked_bytes != 0) {
-      ValueMemory::Add(-static_cast<int64_t>(tracked_bytes));
-    }
-  }
-
-  ValueKind kind;
-
-  // Bytes registered with ValueMemory at construction time. Zero for reps
-  // built while tracking was off (and for the singletons), so the
-  // destructor always subtracts exactly what was added.
-  uint32_t tracked_bytes = 0;
-
-  // Structural hash, computed on first use (join/nest keys are re-hashed
-  // once per probe otherwise). kHashUnset marks "not yet computed"; the
-  // value is deterministic, so racing relaxed stores are benign.
-  static constexpr uint64_t kHashUnset = 0;
-  mutable std::atomic<uint64_t> cached_hash{kHashUnset};
-};
-
-// Bool, Int, Real: one 8-byte payload; `kind` says which member is live.
-struct ScalarRep : ValueRep {
-  explicit ScalarRep(ValueKind k) : ValueRep(k) {}
-  union {
-    bool bool_value;
-    int64_t int_value = 0;
-    double real_value;
-  };
-};
-
+// Each kind's rep adds only its own payload to the 16-byte header.
 struct StringRep : ValueRep {
-  explicit StringRep(std::string v)
-      : ValueRep(ValueKind::kString), value(std::move(v)) {}
+  explicit StringRep(std::string v) : value(std::move(v)) {}
   std::string value;
 };
 
 // Set and list elements; a tuple's attribute values.
 struct ChildrenRep : ValueRep {
-  ChildrenRep(ValueKind k, std::vector<Value> c)
-      : ValueRep(k), children(std::move(c)) {}
+  explicit ChildrenRep(std::vector<Value> c) : children(std::move(c)) {}
   std::vector<Value> children;
 };
 
 // names[i] labels children[i].
 struct TupleRep : ChildrenRep {
   TupleRep(TupleNames n, std::vector<Value> values)
-      : ChildrenRep(ValueKind::kTuple, std::move(values)),
-        names(std::move(n)) {}
+      : ChildrenRep(std::move(values)), names(std::move(n)) {}
   TupleNames names;
 };
 
 // A shared attribute-name list. It charges its bytes once, when built, and
 // refunds them when the last handle (tuple or TupleNames) lets go.
-struct NamesRep {
+struct NamesRep : Counted {
   explicit NamesRep(std::vector<std::string> n) : names(std::move(n)) {
     hashes.reserve(names.size());
     for (const std::string& name : names) hashes.push_back(HashString(name));
   }
-  ~NamesRep() {
-    if (tracked_bytes != 0) {
-      ValueMemory::Add(-static_cast<int64_t>(tracked_bytes));
-    }
-  }
 
   std::vector<std::string> names;
   std::vector<uint64_t> hashes;  // HashString(names[i]), for Value::Hash
-  uint32_t tracked_bytes = 0;
 };
+
+// Refunds what `rep` charged (zero for reps built while tracking was off),
+// then frees it.
+template <typename R>
+void Free(const R* rep) {
+  if (rep->tracked_bytes != 0) {
+    ValueMemory::Add(-static_cast<int64_t>(rep->tracked_bytes));
+  }
+  delete rep;
+}
+
+void DestroyRep(ValueKind kind, const ValueRep* rep) {
+  switch (kind) {
+    case ValueKind::kString:
+      Free(static_cast<const StringRep*>(rep));
+      return;
+    case ValueKind::kTuple:
+      Free(static_cast<const TupleRep*>(rep));
+      return;
+    case ValueKind::kSet:
+    case ValueKind::kList:
+      Free(static_cast<const ChildrenRep*>(rep));
+      return;
+    default:
+      TMDB_CHECK_MSG(false, "a scalar value has no rep");
+  }
+}
 
 }  // namespace internal_values
 
@@ -95,14 +80,9 @@ namespace {
 
 using internal_values::ChildrenRep;
 using internal_values::NamesRep;
-using internal_values::ScalarRep;
 using internal_values::StringRep;
 using internal_values::TupleRep;
 using internal_values::ValueRep;
-
-// std::make_shared puts each rep in one allocation behind its control block:
-// a vtable pointer and the two 32-bit reference counts.
-constexpr size_t kSharedBlockBytes = sizeof(void*) + 2 * sizeof(int32_t);
 
 // Heap bytes behind a string; zero when it lives in the small-string buffer
 // inside the object.
@@ -115,12 +95,13 @@ size_t HeapBytes(const std::string& s) {
 
 // Registers a freshly built rep with ValueMemory (a no-op unless a memory
 // budget enabled tracking): what its allocation really holds — the rep
-// sized to its kind, the control block, and `payload` heap bytes. Child
-// values are counted by their own reps and a tuple's names by its names
-// list, so shared structure is never double-counted.
+// sized to its kind and `payload` heap bytes. Child values are counted by
+// their own reps (scalars by nothing: they live in their slots) and a
+// tuple's names by its names list, so shared structure is never
+// double-counted.
 template <typename R>
 void Charge(R* rep, size_t payload) {
-  size_t bytes = sizeof(R) + kSharedBlockBytes + payload;
+  size_t bytes = sizeof(R) + payload;
   if (bytes > UINT32_MAX) bytes = UINT32_MAX;
   rep->tracked_bytes = static_cast<uint32_t>(bytes);
   ValueMemory::Add(static_cast<int64_t>(rep->tracked_bytes));
@@ -130,37 +111,38 @@ size_t SlotBytes(const std::vector<Value>& children) {
   return children.capacity() * sizeof(Value);
 }
 
-// Shared singletons for the values that appear everywhere; they allocate
-// nothing per use, so they charge nothing.
-const std::shared_ptr<const ValueRep>& NullRep() {
-  static const auto& rep = *new std::shared_ptr<const ValueRep>(
-      new ValueRep(ValueKind::kNull));
+// Shared singletons for the reps that appear everywhere. They hold one
+// reference that is never dropped, so they allocate nothing per use and
+// charge nothing.
+const ChildrenRep* EmptySetRep() {
+  static const ChildrenRep* rep = new ChildrenRep({});
   return rep;
 }
 
-const std::shared_ptr<const ValueRep>& EmptySetRep() {
-  static const auto& rep = *new std::shared_ptr<const ValueRep>(
-      new ChildrenRep(ValueKind::kSet, {}));
+const NamesRep* EmptyNamesRep() {
+  static const NamesRep* rep = new NamesRep({});
   return rep;
 }
 
-const std::shared_ptr<const NamesRep>& EmptyNamesRep() {
-  static const auto& rep = *new std::shared_ptr<const NamesRep>(
-      std::make_shared<NamesRep>(std::vector<std::string>{}));
-  return rep;
+// A moved-from TupleNames holds no list.
+void RetainNames(const NamesRep* rep) {
+  if (rep != nullptr) rep->refs.fetch_add(1, std::memory_order_relaxed);
 }
 
-const ScalarRep& AsScalar(const ValueRep& rep) {
-  return static_cast<const ScalarRep&>(rep);
+void ReleaseNames(const NamesRep* rep) {
+  if (rep != nullptr && internal_values::DropRef(*rep)) {
+    internal_values::Free(rep);
+  }
 }
-const StringRep& AsStringRep(const ValueRep& rep) {
-  return static_cast<const StringRep&>(rep);
+
+const StringRep& AsStringRep(const ValueRep* rep) {
+  return *static_cast<const StringRep*>(rep);
 }
-const ChildrenRep& AsChildren(const ValueRep& rep) {
-  return static_cast<const ChildrenRep&>(rep);
+const ChildrenRep& AsChildren(const ValueRep* rep) {
+  return *static_cast<const ChildrenRep*>(rep);
 }
-const TupleRep& AsTupleRep(const ValueRep& rep) {
-  return static_cast<const TupleRep&>(rep);
+const TupleRep& AsTupleRep(const ValueRep* rep) {
+  return *static_cast<const TupleRep*>(rep);
 }
 
 // Rank used by Compare for values of different kinds. Int and Real share a
@@ -194,7 +176,7 @@ int CompareDoubles(double a, double b) {
 
 }  // namespace
 
-TupleNames::TupleNames() : rep_(EmptyNamesRep()) {}
+TupleNames::TupleNames() : rep_(EmptyNamesRep()) { RetainNames(rep_); }
 
 TupleNames::TupleNames(std::vector<std::string> names) {
 #ifndef NDEBUG
@@ -205,15 +187,21 @@ TupleNames::TupleNames(std::vector<std::string> names) {
     }
   }
 #endif
-  auto rep = std::make_shared<NamesRep>(std::move(names));
+  auto* rep = new NamesRep(std::move(names));
   if (ValueMemory::tracking_enabled()) {
     size_t payload = rep->names.capacity() * sizeof(std::string) +
                      rep->hashes.capacity() * sizeof(uint64_t);
     for (const std::string& name : rep->names) payload += HeapBytes(name);
-    Charge(rep.get(), payload);
+    Charge(rep, payload);
   }
-  rep_ = std::move(rep);
+  rep_ = rep;
 }
+
+TupleNames::TupleNames(const TupleNames& other) : rep_(other.rep_) {
+  RetainNames(rep_);
+}
+
+TupleNames::~TupleNames() { ReleaseNames(rep_); }
 
 size_t TupleNames::size() const { return rep_->names.size(); }
 
@@ -230,37 +218,33 @@ bool TupleNames::operator==(const TupleNames& other) const {
   return rep_ == other.rep_ || rep_->names == other.rep_->names;
 }
 
-Value::Value() : rep_(NullRep()) {}
-
-Value Value::Null() { return Value(NullRep()); }
+Value Value::Null() { return Value(); }
 
 Value Value::Bool(bool v) {
-  auto rep = std::make_shared<ScalarRep>(ValueKind::kBool);
-  rep->bool_value = v;
-  if (ValueMemory::tracking_enabled()) Charge(rep.get(), 0);
-  return Value(std::move(rep));
+  Value out;
+  out.kind_ = ValueKind::kBool;
+  out.payload_.bool_value = v;
+  return out;
 }
 
 Value Value::Int(int64_t v) {
-  auto rep = std::make_shared<ScalarRep>(ValueKind::kInt);
-  rep->int_value = v;
-  if (ValueMemory::tracking_enabled()) Charge(rep.get(), 0);
-  return Value(std::move(rep));
+  Value out;
+  out.kind_ = ValueKind::kInt;
+  out.payload_.int_value = v;
+  return out;
 }
 
 Value Value::Real(double v) {
-  auto rep = std::make_shared<ScalarRep>(ValueKind::kReal);
-  rep->real_value = v;
-  if (ValueMemory::tracking_enabled()) Charge(rep.get(), 0);
-  return Value(std::move(rep));
+  Value out;
+  out.kind_ = ValueKind::kReal;
+  out.payload_.real_value = v;
+  return out;
 }
 
 Value Value::String(std::string v) {
-  auto rep = std::make_shared<StringRep>(std::move(v));
-  if (ValueMemory::tracking_enabled()) {
-    Charge(rep.get(), HeapBytes(rep->value));
-  }
-  return Value(std::move(rep));
+  auto* rep = new StringRep(std::move(v));
+  if (ValueMemory::tracking_enabled()) Charge(rep, HeapBytes(rep->value));
+  return Value(ValueKind::kString, rep);
 }
 
 Value Value::Tuple(std::vector<std::string> names, std::vector<Value> values) {
@@ -269,11 +253,9 @@ Value Value::Tuple(std::vector<std::string> names, std::vector<Value> values) {
 
 Value Value::SharedTuple(TupleNames names, std::vector<Value> values) {
   TMDB_CHECK(names.size() == values.size());
-  auto rep = std::make_shared<TupleRep>(std::move(names), std::move(values));
-  if (ValueMemory::tracking_enabled()) {
-    Charge(rep.get(), SlotBytes(rep->children));
-  }
-  return Value(std::move(rep));
+  auto* rep = new TupleRep(std::move(names), std::move(values));
+  if (ValueMemory::tracking_enabled()) Charge(rep, SlotBytes(rep->children));
+  return Value(ValueKind::kTuple, rep);
 }
 
 Value Value::Set(std::vector<Value> elements) {
@@ -299,55 +281,51 @@ Value Value::Set(std::vector<Value> elements) {
   // tracked footprint counts capacity — a grouped set built from many
   // duplicates would otherwise pin its pre-dedup size for its lifetime.
   elements.shrink_to_fit();
-  auto rep =
-      std::make_shared<ChildrenRep>(ValueKind::kSet, std::move(elements));
-  if (ValueMemory::tracking_enabled()) {
-    Charge(rep.get(), SlotBytes(rep->children));
-  }
-  return Value(std::move(rep));
+  auto* rep = new ChildrenRep(std::move(elements));
+  if (ValueMemory::tracking_enabled()) Charge(rep, SlotBytes(rep->children));
+  return Value(ValueKind::kSet, rep);
 }
 
-Value Value::EmptySet() { return Value(EmptySetRep()); }
+Value Value::EmptySet() {
+  const ChildrenRep* rep = EmptySetRep();
+  rep->refs.fetch_add(1, std::memory_order_relaxed);
+  return Value(ValueKind::kSet, rep);
+}
 
 Value Value::List(std::vector<Value> elements) {
-  auto rep =
-      std::make_shared<ChildrenRep>(ValueKind::kList, std::move(elements));
-  if (ValueMemory::tracking_enabled()) {
-    Charge(rep.get(), SlotBytes(rep->children));
-  }
-  return Value(std::move(rep));
+  auto* rep = new ChildrenRep(std::move(elements));
+  if (ValueMemory::tracking_enabled()) Charge(rep, SlotBytes(rep->children));
+  return Value(ValueKind::kList, rep);
 }
 
-ValueKind Value::kind() const { return rep_->kind; }
-
 const std::vector<Value>& Value::children() const {
-  return AsChildren(*rep_).children;
+  return AsChildren(payload_.rep).children;
 }
 
 bool Value::AsBool() const {
   TMDB_CHECK(is_bool());
-  return AsScalar(*rep_).bool_value;
+  return payload_.bool_value;
 }
 
 int64_t Value::AsInt() const {
   TMDB_CHECK(is_int());
-  return AsScalar(*rep_).int_value;
+  return payload_.int_value;
 }
 
 double Value::AsReal() const {
   TMDB_CHECK(is_real());
-  return AsScalar(*rep_).real_value;
+  return payload_.real_value;
 }
 
 double Value::AsNumeric() const {
-  if (is_int()) return static_cast<double>(AsScalar(*rep_).int_value);
+  if (is_int()) return static_cast<double>(payload_.int_value);
   TMDB_CHECK(is_real());
-  return AsScalar(*rep_).real_value;
+  return payload_.real_value;
 }
 
 const std::string& Value::AsString() const {
   TMDB_CHECK(is_string());
-  return AsStringRep(*rep_).value;
+  return AsStringRep(payload_.rep).value;
 }
 
 size_t Value::TupleSize() const {
@@ -357,12 +335,12 @@ size_t Value::TupleSize() const {
 
 const std::string& Value::FieldName(size_t i) const {
   TMDB_CHECK(is_tuple());
-  return AsTupleRep(*rep_).names[i];
+  return AsTupleRep(payload_.rep).names[i];
 }
 
 const TupleNames& Value::FieldNames() const {
   TMDB_CHECK(is_tuple());
-  return AsTupleRep(*rep_).names;
+  return AsTupleRep(payload_.rep).names;
 }
 
 const Value& Value::FieldValue(size_t i) const {
@@ -373,7 +351,7 @@ const Value& Value::FieldValue(size_t i) const {
 
 const Value* Value::FindField(const std::string& name) const {
   if (!is_tuple()) return nullptr;
-  const TupleRep& rep = AsTupleRep(*rep_);
+  const TupleRep& rep = AsTupleRep(payload_.rep);
   const std::vector<std::string>& names = rep.names.names();
   for (size_t i = 0; i < names.size(); ++i) {
     if (names[i] == name) return &rep.children[i];
@@ -428,7 +406,7 @@ bool Value::Contains(const Value& v) const {
 }
 
 int Value::Compare(const Value& other) const {
-  if (rep_ == other.rep_) return 0;
+  if (has_rep() && payload_.rep == other.payload_.rep) return 0;
   const int ra = KindRank(kind());
   const int rb = KindRank(other.kind());
   if (ra != rb) return ra < rb ? -1 : 1;
@@ -436,15 +414,15 @@ int Value::Compare(const Value& other) const {
     case ValueKind::kNull:
       return 0;
     case ValueKind::kBool: {
-      const int a = AsScalar(*rep_).bool_value ? 1 : 0;
-      const int b = AsScalar(*other.rep_).bool_value ? 1 : 0;
+      const int a = payload_.bool_value ? 1 : 0;
+      const int b = other.payload_.bool_value ? 1 : 0;
       return a - b;
     }
     case ValueKind::kInt:
     case ValueKind::kReal: {
       if (is_int() && other.is_int()) {
-        const int64_t a = AsScalar(*rep_).int_value;
-        const int64_t b = AsScalar(*other.rep_).int_value;
+        const int64_t a = payload_.int_value;
+        const int64_t b = other.payload_.int_value;
         if (a < b) return -1;
         if (a > b) return 1;
         return 0;
@@ -452,13 +430,13 @@ int Value::Compare(const Value& other) const {
       return CompareDoubles(AsNumeric(), other.AsNumeric());
     }
     case ValueKind::kString:
-      return AsStringRep(*rep_).value.compare(AsStringRep(*other.rep_).value);
+      return AsStringRep(payload_.rep).value.compare(AsStringRep(other.payload_.rep).value);
     case ValueKind::kTuple: {
       // Tuples order by (name, value) pairs left to right; differently
       // shaped tuples order by their attribute lists. Tuples sharing one
       // names list differ only in their values.
-      const TupleRep& a = AsTupleRep(*rep_);
-      const TupleRep& b = AsTupleRep(*other.rep_);
+      const TupleRep& a = AsTupleRep(payload_.rep);
+      const TupleRep& b = AsTupleRep(other.payload_.rep);
       const bool same_names = a.names.SameList(b.names);
       const size_t n = std::min(a.names.size(), b.names.size());
       for (size_t i = 0; i < n; ++i) {
@@ -493,13 +471,15 @@ int Value::Compare(const Value& other) const {
 }
 
 uint64_t Value::Hash() const {
-  uint64_t h = rep_->cached_hash.load(std::memory_order_relaxed);
-  if (h != Rep::kHashUnset) return h;
-  h = ComputeHash();
-  // The sentinel is a legal hash image; remap it so the cache stays sound
-  // (equal values still agree: they compute the same image).
-  if (h == Rep::kHashUnset) h = 0x9e3779b97f4a7c15ULL;
-  rep_->cached_hash.store(h, std::memory_order_relaxed);
+  if (has_rep()) {
+    const uint64_t h = payload_.rep->cached_hash.load(std::memory_order_relaxed);
+    if (h != 0) return h;
+  }
+  uint64_t h = ComputeHash();
+  // 0 marks an unset memo but is a legal hash image; remap it so the memo
+  // stays sound (equal values still agree: they compute the same image).
+  if (h == 0) h = 0x9e3779b97f4a7c15ULL;
+  if (has_rep()) payload_.rep->cached_hash.store(h, std::memory_order_relaxed);
   return h;
 }
 
@@ -508,7 +488,7 @@ uint64_t Value::ComputeHash() const {
     case ValueKind::kNull:
       return 0x6e756c6cULL;
     case ValueKind::kBool:
-      return AsScalar(*rep_).bool_value ? 0x74727565ULL : 0x66616c73ULL;
+      return payload_.bool_value ? 0x74727565ULL : 0x66616c73ULL;
     case ValueKind::kInt:
     case ValueKind::kReal: {
       // Numerically equal Int and Real must hash identically: hash the
@@ -523,9 +503,9 @@ uint64_t Value::ComputeHash() const {
       return HashBytes(&bits, sizeof(bits), 0x6e756d62ULL);
     }
     case ValueKind::kString:
-      return HashString(AsStringRep(*rep_).value, 0x73747231ULL);
+      return HashString(AsStringRep(payload_.rep).value, 0x73747231ULL);
     case ValueKind::kTuple: {
-      const TupleRep& rep = AsTupleRep(*rep_);
+      const TupleRep& rep = AsTupleRep(payload_.rep);
       const std::vector<uint64_t>& name_hashes = rep.names.rep_->hashes;
       uint64_t h = 0x7475706cULL;
       for (size_t i = 0; i < rep.children.size(); ++i) {
@@ -574,7 +554,7 @@ std::string Value::ToString() const {
     case ValueKind::kString:
       return "\"" + EscapeString(AsString()) + "\"";
     case ValueKind::kTuple: {
-      const TupleRep& rep = AsTupleRep(*rep_);
+      const TupleRep& rep = AsTupleRep(payload_.rep);
       std::vector<std::string> parts;
       parts.reserve(rep.children.size());
       for (size_t i = 0; i < rep.children.size(); ++i) {

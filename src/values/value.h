@@ -1,9 +1,10 @@
 #ifndef TMDB_VALUES_VALUE_H_
 #define TMDB_VALUES_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
@@ -11,17 +12,12 @@
 
 namespace tmdb {
 
-namespace internal_values {
-struct ValueRep;
-struct NamesRep;
-}  // namespace internal_values
-
 /// Kinds of runtime values. kNull exists only to represent the padding the
 /// *outerjoin baseline* (Ganski–Wong) introduces for dangling tuples; the
 /// nest-join path of the engine never produces it — as the paper argues, in
 /// a complex object model the empty set is part of the model, so no NULL is
 /// needed.
-enum class ValueKind {
+enum class ValueKind : uint8_t {
   kNull,
   kBool,
   kInt,
@@ -31,6 +27,41 @@ enum class ValueKind {
   kSet,   // canonical: sorted by Value::Compare, duplicate-free
   kList,
 };
+
+namespace internal_values {
+
+/// What every heap-held rep starts with: an intrusive reference count (the
+/// handle that builds a rep holds its first reference) and the bytes the
+/// rep charged to ValueMemory, refunded when the last reference goes.
+struct Counted {
+  mutable std::atomic<uint32_t> refs{1};
+  uint32_t tracked_bytes = 0;
+};
+
+/// The header of a String, Tuple, Set or List rep; value.cc adds the
+/// kind's payload. The structural hash is memoised on first use (join and
+/// nest keys are re-hashed once per probe otherwise); 0 marks "not yet
+/// computed", and the value is deterministic, so racing relaxed stores are
+/// benign.
+struct ValueRep : Counted {
+  mutable std::atomic<uint64_t> cached_hash{0};
+};
+
+struct NamesRep;
+
+/// Drops one reference to `rep`; true when it was the last. A sole owner
+/// skips the atomic decrement: no other handle exists that could copy the
+/// rep meanwhile, and the acquire load orders every earlier owner's
+/// release before the rep is freed.
+inline bool DropRef(const Counted& rep) {
+  return rep.refs.load(std::memory_order_acquire) == 1 ||
+         rep.refs.fetch_sub(1, std::memory_order_acq_rel) == 1;
+}
+
+/// Frees `rep`, whose last reference just went; `kind` says which rep it is.
+void DestroyRep(ValueKind kind, const ValueRep* rep);
+
+}  // namespace internal_values
 
 /// The attribute names of a tuple, in order: an immutable list that every
 /// tuple built from the same handle shares. Sites that build many tuples of
@@ -45,6 +76,16 @@ class TupleNames {
   /// Names must be distinct; checked in debug via TMDB_CHECK.
   explicit TupleNames(std::vector<std::string> names);
 
+  TupleNames(const TupleNames& other);
+  TupleNames(TupleNames&& other) noexcept : rep_(other.rep_) {
+    other.rep_ = nullptr;
+  }
+  TupleNames& operator=(TupleNames other) noexcept {
+    std::swap(rep_, other.rep_);
+    return *this;
+  }
+  ~TupleNames();
+
   size_t size() const;
   const std::string& operator[](size_t i) const;
   const std::vector<std::string>& names() const;
@@ -57,14 +98,21 @@ class TupleNames {
 
  private:
   friend class Value;
-  std::shared_ptr<const internal_values::NamesRep> rep_;
+  // The empty list is a shared singleton; only a moved-from handle, which
+  // may be assigned or destroyed and nothing else, holds null.
+  const internal_values::NamesRep* rep_;
 };
 
 /// An immutable complex-object value: atoms, tuples with named attributes,
 /// duplicate-free sets, and lists, arbitrarily nested. Values are cheap to
-/// copy (shared immutable representation) and have structural equality, a
-/// total order (used to canonicalise sets), and a hash consistent with
-/// equality.
+/// copy and have structural equality, a total order (used to canonicalise
+/// sets), and a hash consistent with equality.
+///
+/// A Value is a 16-byte handle: its kind and an 8-byte payload. NULL, Bool,
+/// Int and Real live in the payload, so building, copying and dropping one
+/// allocates nothing and touches no shared memory. A String, Tuple, Set or
+/// List points at an immutable rep sized to its kind, shared by every copy
+/// through the rep's own reference count. A moved-from Value is NULL.
 ///
 /// Int and Real values that denote the same number compare equal; mixed
 /// numeric sets therefore behave like sets of reals, matching how the type
@@ -72,7 +120,7 @@ class TupleNames {
 class Value {
  public:
   /// Constructs NULL; prefer the named factories.
-  Value();
+  Value() noexcept { payload_.bits = 0; }
 
   static Value Null();
   static Value Bool(bool v);
@@ -90,12 +138,24 @@ class Value {
   static Value EmptySet();
   static Value List(std::vector<Value> elements);
 
-  Value(const Value&) = default;
-  Value& operator=(const Value&) = default;
-  Value(Value&&) = default;
-  Value& operator=(Value&&) = default;
+  Value(const Value& other) noexcept
+      : kind_(other.kind_), payload_(other.payload_) {
+    Retain();
+  }
+  Value(Value&& other) noexcept
+      : kind_(other.kind_), payload_(other.payload_) {
+    other.kind_ = ValueKind::kNull;
+  }
+  /// Copy and move assignment in one: `other` takes the old value away and
+  /// drops it, which also makes self-assignment safe.
+  Value& operator=(Value other) noexcept {
+    std::swap(kind_, other.kind_);
+    std::swap(payload_, other.payload_);
+    return *this;
+  }
+  ~Value() { Release(); }
 
-  ValueKind kind() const;
+  ValueKind kind() const { return kind_; }
   bool is_null() const { return kind() == ValueKind::kNull; }
   bool is_bool() const { return kind() == ValueKind::kBool; }
   bool is_int() const { return kind() == ValueKind::kInt; }
@@ -149,19 +209,40 @@ class Value {
 
  private:
   using Rep = internal_values::ValueRep;
-  explicit Value(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
+  /// Adopts `rep`'s first reference.
+  Value(ValueKind kind, const Rep* rep) : kind_(kind) { payload_.rep = rep; }
+
+  /// String, Tuple, Set and List hold a rep; the other kinds hold none.
+  bool has_rep() const { return kind_ >= ValueKind::kString; }
+  void Retain() const {
+    if (has_rep()) payload_.rep->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void Release() {
+    if (has_rep() && internal_values::DropRef(*payload_.rep)) {
+      internal_values::DestroyRep(kind_, payload_.rep);
+    }
+  }
 
   /// The tuple's children (attribute values) or a collection's elements.
   const std::vector<Value>& children() const;
 
-  /// Uncached structural hash; Hash() memoises it in the shared rep.
+  /// Uncached structural hash; Hash() memoises it in a shared rep.
   uint64_t ComputeHash() const;
 
-  /// Points at a rep sized to its kind (value.cc): a common header plus
-  /// one scalar, one string, the children, or the children and a names
-  /// list.
-  std::shared_ptr<const Rep> rep_;
+  ValueKind kind_ = ValueKind::kNull;
+  /// Which member is live follows from kind_. A NULL's payload is never
+  /// read; a default-built one is zeroed so that copies of it copy no
+  /// indeterminate bytes.
+  union Payload {
+    bool bool_value;
+    int64_t int_value;
+    double real_value;
+    const Rep* rep;  // sized to its kind (value.cc)
+    uint64_t bits;
+  } payload_;
 };
+
+static_assert(sizeof(Value) == 16, "a Value is a kind and an 8-byte payload");
 
 inline bool operator==(const Value& a, const Value& b) { return a.Equals(b); }
 inline bool operator!=(const Value& a, const Value& b) { return !a.Equals(b); }

@@ -8,17 +8,21 @@ namespace tmdb {
 /// Process-wide accounting of live Value heap bytes, feeding the executor's
 /// memory budget (QueryGuard) so a budget trips before the allocator does.
 ///
-/// Tracking is off by default: a Value construction then costs one relaxed
-/// atomic load. While at least one EnableTracking() call is outstanding,
-/// each newly built ValueRep records its shallow footprint (struct, string
-/// payloads, attribute names, child slots) and adds it to a global relaxed
-/// counter; the destructor subtracts exactly what was added. Reps built
-/// while tracking was off carry a zero footprint, so toggling mid-stream
-/// never drives the counter negative — the counter measures "bytes of
-/// tracked values still live", a sound lower bound on live Value memory.
+/// Tracking is off by default: building a String, Tuple, Set or List then
+/// costs one relaxed atomic load (NULL, Bool, Int and Real live in the
+/// Value handle and are never tracked: they allocate nothing). While at
+/// least one EnableTracking() call is outstanding, each newly built rep
+/// (and each new TupleNames list) records its shallow footprint (the rep,
+/// string payloads, attribute names, child slots) and adds it to a global
+/// relaxed counter; freeing the rep subtracts exactly what was added. Reps
+/// built while tracking was off carry a zero footprint, so toggling
+/// mid-stream never drives the counter negative — the counter measures
+/// "bytes of tracked values still live", a sound lower bound on live Value
+/// memory.
 ///
 /// Shared reps are counted once no matter how many Value handles alias
-/// them, matching what the allocator sees.
+/// them, matching what the allocator sees. The counter is process-wide:
+/// every thread's values count, whichever query or session built them.
 class ValueMemory {
  public:
   /// Nestable (refcounted) enable/disable. Typically driven by
@@ -32,7 +36,7 @@ class ValueMemory {
   /// Live tracked bytes. Relaxed read; exact once all writers quiesce.
   static int64_t LiveBytes();
 
-  /// Internal: called by Value factories / ValueRep destructor.
+  /// Internal: called by the Value factories and when a rep is freed.
   static void Add(int64_t delta);
 };
 

@@ -185,6 +185,36 @@ TEST_F(EvalTest, EnvironmentScoping) {
   EXPECT_FALSE(EvalExpr(Expr::Var("unbound", Type::Int()), env_).ok());
 }
 
+TEST(EnvironmentTest, FramesRebindAndShadowPastTheirInlineBindings) {
+  // Four names in one frame: the first two sit in the object, the rest
+  // past it. Rebinding replaces in place wherever the name lives.
+  Environment outer;
+  for (int i = 0; i < 4; ++i) {
+    outer.Bind("v" + std::to_string(i), Value::Int(i));
+  }
+  outer.Bind("v0", Value::Int(100));
+  outer.Bind("v3", Value::Int(103));
+  Environment inner(&outer);
+  inner.Bind("v1", Value::Int(201));
+  inner.Bind("w", Value::String("inner"));
+  inner.Bind("v2", Value::Int(202));  // the inner frame's third binding
+  inner.Bind("w", Value::String("rebound"));
+
+  ASSERT_NE(outer.Lookup("v1"), nullptr);
+  EXPECT_EQ(outer.Lookup("v0")->AsInt(), 100);
+  EXPECT_EQ(outer.Lookup("v1")->AsInt(), 1);
+  EXPECT_EQ(outer.Lookup("v2")->AsInt(), 2);
+  EXPECT_EQ(outer.Lookup("v3")->AsInt(), 103);
+  EXPECT_EQ(outer.Lookup("w"), nullptr);
+  // The innermost binding wins; the rest resolve outward.
+  EXPECT_EQ(inner.Lookup("v0")->AsInt(), 100);
+  EXPECT_EQ(inner.Lookup("v1")->AsInt(), 201);
+  EXPECT_EQ(inner.Lookup("v2")->AsInt(), 202);
+  EXPECT_EQ(inner.Lookup("v3")->AsInt(), 103);
+  EXPECT_EQ(inner.Lookup("w")->AsString(), "rebound");
+  EXPECT_EQ(inner.Lookup("absent"), nullptr);
+}
+
 TEST_F(EvalTest, Quantifiers) {
   Expr set = Expr::Literal(IntSet({1, 2, 3}));
   Expr v = Expr::Var("v", Type::Int());

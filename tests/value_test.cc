@@ -366,26 +366,33 @@ Allocations Measure(std::vector<Value>* keep, Build build) {
 
 TEST(ValueRepTest, EachKindAllocatesOnlyItsOwnPayload) {
   std::vector<Value> keep;
-  // A Bool, an Int or a Real is one allocation: a 16-byte header, its
-  // 8-byte payload and the shared_ptr control block.
-  const Allocations i = Measure(
-      &keep, [](std::vector<Value>* k) { k->push_back(Value::Int(7)); });
-  EXPECT_EQ(i.count, 1u);
-  EXPECT_LE(i.bytes, 40u);
-  const Allocations r = Measure(
-      &keep, [](std::vector<Value>* k) { k->push_back(Value::Real(2.5)); });
-  EXPECT_EQ(r.count, 1u);
-  EXPECT_LE(r.bytes, 40u);
-  const Allocations b = Measure(
-      &keep, [](std::vector<Value>* k) { k->push_back(Value::Bool(true)); });
-  EXPECT_EQ(b.count, 1u);
-  EXPECT_LE(b.bytes, 40u);
-  // NULL and the empty set are shared singletons.
-  const Allocations singletons = Measure(&keep, [](std::vector<Value>* k) {
+  // NULL, a Bool, an Int or a Real lives in the handle: building, copying
+  // and dropping one allocates and charges nothing.
+  const Allocations scalars = Measure(&keep, [](std::vector<Value>* k) {
     k->push_back(Value::Null());
+    k->push_back(Value::Bool(true));
+    k->push_back(Value::Int(7));
+    k->push_back(Value::Real(2.5));
+  });
+  EXPECT_EQ(scalars.count, 0u);
+  EXPECT_EQ(scalars.charged, 0);
+  const Allocations copies = Measure(&keep, [](std::vector<Value>* k) {
+    std::vector<Value> slots(4);
+    for (size_t n = 0; n < 4; ++n) {
+      Value copy = (*k)[n];
+      slots[n] = copy;
+      slots[n] = std::move(copy);
+    }
+  });
+  EXPECT_EQ(copies.count, 1u);  // the vector's slots and nothing else
+  EXPECT_EQ(copies.bytes, 4 * sizeof(Value));
+  EXPECT_EQ(copies.charged, 0);
+  // The empty set is a shared singleton.
+  const Allocations singleton = Measure(&keep, [](std::vector<Value>* k) {
     k->push_back(Value::EmptySet());
   });
-  EXPECT_EQ(singletons.count, 0u);
+  EXPECT_EQ(singleton.count, 0u);
+  EXPECT_EQ(singleton.charged, 0);
   // A short string lives in its rep; a long one adds its buffer.
   const Allocations short_string = Measure(
       &keep, [](std::vector<Value>* k) { k->push_back(Value::String("hi")); });
@@ -408,8 +415,11 @@ TEST(ValueRepTest, TrackingChargesWhatIsReallyAllocated) {
   std::vector<Value> fields = {Value::Int(1), Value::Int(2)};
   std::vector<Value> elements = {Value::Int(1), Value::Int(2), Value::Int(3)};
   const std::vector<std::function<void(std::vector<Value>*)>> builds = {
+      [](std::vector<Value>* k) { k->push_back(Value::Null()); },
+      [](std::vector<Value>* k) { k->push_back(Value::Bool(false)); },
       [](std::vector<Value>* k) { k->push_back(Value::Int(7)); },
       [](std::vector<Value>* k) { k->push_back(Value::Real(-0.0)); },
+      [](std::vector<Value>* k) { k->push_back(Value::EmptySet()); },
       [](std::vector<Value>* k) { k->push_back(Value::String("hi")); },
       [](std::vector<Value>* k) {
         k->push_back(Value::String(std::string(100, 'x')));
@@ -435,6 +445,111 @@ TEST(ValueRepTest, TrackingChargesWhatIsReallyAllocated) {
     built = TupleNames(std::move(names));
   });
   EXPECT_EQ(list.charged, static_cast<int64_t>(list.bytes));
+}
+
+TEST(ValueRepTest, CopyMoveAndSelfAssignmentKeepEveryKindIntact) {
+  const std::vector<Value> samples = {
+      Value::Null(),
+      Value::Bool(true),
+      Value::Int(-42),
+      Value::Real(2.5),
+      Value::String(std::string(40, 's')),
+      Value::Tuple({"a", "b"}, {Value::Int(1), Value::String("x")}),
+      Value::Set({Value::Int(3), Value::Int(1)}),
+      Value::EmptySet(),
+      Value::List({Value::Real(1.5), Value::Null()}),
+  };
+  ValueMemory::EnableTracking();
+  const int64_t baseline = ValueMemory::LiveBytes();
+  for (const Value& sample : samples) {
+    SCOPED_TRACE(sample.ToString());
+    const std::string text = sample.ToString();
+    const uint64_t hash = sample.Hash();
+    Value copy = sample;
+    EXPECT_EQ(copy.kind(), sample.kind());
+    EXPECT_TRUE(copy.Equals(sample));
+    // Self-assignment, by copy and by move, leaves the value as it was.
+    Value& alias = copy;
+    copy = alias;
+    EXPECT_EQ(copy.ToString(), text);
+    copy = std::move(alias);
+    EXPECT_EQ(copy.ToString(), text);
+    EXPECT_EQ(copy.Hash(), hash);
+    // Moving leaves NULL behind, which can be assigned again.
+    Value moved = std::move(copy);
+    EXPECT_EQ(moved.ToString(), text);
+    EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copy.ToString(), "NULL");
+    copy = moved;
+    EXPECT_TRUE(copy.Equals(sample));
+    Value assigned = Value::String("replaced");
+    assigned = std::move(moved);
+    EXPECT_TRUE(moved.is_null());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(assigned.ToString(), text);
+    assigned = Value::Int(1);
+    EXPECT_EQ(assigned.AsInt(), 1);
+  }
+  // Nothing built above outlives its handles.
+  EXPECT_EQ(ValueMemory::LiveBytes(), baseline);
+
+  // A names list follows the same rules.
+  {
+    TupleNames names({"a", "b"});
+    TupleNames copy = names;
+    EXPECT_TRUE(copy.SameList(names));
+    TupleNames& alias = copy;
+    copy = alias;
+    copy = std::move(alias);
+    EXPECT_TRUE(copy.SameList(names));
+    TupleNames moved = std::move(copy);
+    EXPECT_TRUE(moved.SameList(names));
+    copy = moved;  // a moved-from handle can be assigned again
+    EXPECT_TRUE(copy.SameList(names));
+    EXPECT_EQ(copy[1], "b");
+    EXPECT_GT(ValueMemory::LiveBytes(), baseline);
+  }
+  EXPECT_EQ(ValueMemory::LiveBytes(), baseline);
+  ValueMemory::DisableTracking();
+}
+
+TEST(ValueRepTest, ThreadsCopyAndDropSharedRepsSafely) {
+  // Four threads copy and drop handles to one string, tuple and set, whose
+  // reference counts they share; the reps must outlive every copy and go
+  // exactly once, when the last handle does.
+  ValueMemory::EnableTracking();
+  const int64_t baseline = ValueMemory::LiveBytes();
+  {
+    std::vector<Value> shared = {
+        Value::String(std::string(64, 'q')),
+        Value::Tuple({"k", "v"}, {Value::Int(7), Value::String("seven")}),
+        Value::Set({Value::String("a"), Value::String("b"), Value::Int(1)}),
+    };
+    std::vector<uint64_t> hashes;
+    for (const Value& v : shared) hashes.push_back(v.Hash());
+    std::vector<std::thread> threads;
+    std::vector<int> wrong(4, 0);
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<Value> held;
+        for (int i = 0; i < 20000; ++i) {
+          const size_t which = static_cast<size_t>(i + t) % shared.size();
+          held.push_back(shared[which]);
+          Value moved = std::move(held.back());
+          held.back() = moved;
+          if (moved.Hash() != hashes[which]) ++wrong[t];
+          if (held.size() == 16) held.clear();
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < 4; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+    EXPECT_EQ(shared[0].AsString(), std::string(64, 'q'));
+    EXPECT_EQ(shared[1].ToString(), "<k = 7, v = \"seven\">");
+    EXPECT_EQ(shared[2].NumElements(), 3u);
+    EXPECT_GT(ValueMemory::LiveBytes(), baseline);
+  }
+  EXPECT_EQ(ValueMemory::LiveBytes(), baseline);
+  ValueMemory::DisableTracking();
 }
 
 TEST(ValueRepTest, TuplesOfOneShapeShareOneNamesList) {
