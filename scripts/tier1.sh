@@ -10,9 +10,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Every build runs nproc compiles at a time: a bare -j starts all of a
-# tree's translation units at once, which a host shared with other jobs
-# may not have the memory for.
+# Every tree is built whole, nproc compiles at a time: a bare -j starts all
+# of a tree's translation units at once, which a host shared with other
+# jobs may not have the memory for, and a --target list builds its targets
+# one after another, one compile at a time.
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j)
@@ -35,11 +36,7 @@ done
 # not in plain ctest. Sanitizers need their own object files, so each
 # gets a dedicated build tree.
 cmake -B build-tsan -S . -DTMDB_SANITIZE=thread
-cmake --build build-tsan -j "$(nproc)" --target parallel_exec_test sched_test \
-  fault_injection_test \
-  spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
-  differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test join_table_test value_test
+cmake --build build-tsan -j "$(nproc)"
 ./build-tsan/tests/parallel_exec_test
 # sched_test is the work-stealing scheduler's own suite: deque discipline,
 # per-query caps, the multi-query soak (several tagged queries sharing the
@@ -71,9 +68,7 @@ cmake --build build-tsan -j "$(nproc)" --target parallel_exec_test sched_test \
 # without leaking operator, pool, or spill-file state, and every suite
 # copies and drops values, whose String/Tuple/Set/List reps are freed by
 # their own reference counts — a missed or extra release anywhere shows up
-# here as a use-after-free or a LeakSanitizer leak. The whole tree is
-# built: one build runs its targets in parallel, where a list of targets
-# builds one after another.
+# here as a use-after-free or a LeakSanitizer leak.
 cmake -B build-asan -S . -DTMDB_SANITIZE=address
 cmake --build build-asan -j "$(nproc)"
 (cd build-asan && ctest --output-on-failure -j "$(nproc)")
@@ -86,10 +81,7 @@ cmake --build build-asan -j "$(nproc)"
 # layer and the codecs run here too, for the reps' downcasts and the
 # handle's payload union.
 cmake -B build-ubsan -S . -DTMDB_SANITIZE=undefined
-cmake --build build-ubsan -j "$(nproc)" --target columnar_exec_test \
-  differential_exec_test spill_exec_test parallel_exec_test \
-  fault_injection_test join_table_test value_test spill_codec_test \
-  net_wire_test
+cmake --build build-ubsan -j "$(nproc)"
 export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ./build-ubsan/tests/columnar_exec_test
 ./build-ubsan/tests/differential_exec_test

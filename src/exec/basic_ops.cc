@@ -19,15 +19,27 @@ Result<Value> EvalWithRow(const Expr& expr, const std::string& var,
   return EvalExpr(expr, env, ctx->subplans);
 }
 
-static_assert((kExecBatchSize & (kExecBatchSize - 1)) == 0,
-              "periodic guard checks mask against kExecBatchSize");
-
-// Checkpoint for row-at-a-time loops: one guard check per kExecBatchSize
-// rows examined, upholding the one-batch observation bound at negligible
-// per-row cost.
-inline Status PeriodicGuardCheck(ExecContext* ctx, uint64_t* work) {
-  if ((++*work & (kExecBatchSize - 1)) == 0) return CheckGuard(ctx);
-  return Status::OK();
+/// Pulls batches of up to `max` rows from `child` into `batch`, calling
+/// `each(row)` on every row to append what it yields to `out`, until a
+/// batch yields something (returning 0 before the input ends would falsely
+/// signal end of stream). Returns the count, counted in rows_emitted. The
+/// input rows die here, not at the next call: above a join they are its
+/// output tuples, which the budget should stop counting once consumed.
+template <typename Each>
+Result<size_t> PullUntilOutput(PhysicalOp* child, ExecContext* ctx,
+                               std::vector<Value>* batch, size_t max,
+                               std::vector<Value>* out, Each each) {
+  const size_t start = out->size();
+  while (out->size() == start) {
+    TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
+    batch->clear();
+    TMDB_ASSIGN_OR_RETURN(size_t got, child->NextBatch(batch, max));
+    if (got == 0) return 0;
+    for (Value& row : *batch) TMDB_RETURN_IF_ERROR(each(row));
+    batch->clear();
+  }
+  ctx->stats->rows_emitted += out->size() - start;
+  return out->size() - start;
 }
 
 }  // namespace
@@ -39,12 +51,6 @@ Status TableScanOp::Open(ExecContext* ctx) {
   pos_ = 0;
   store_ = try_columnar_ ? table_->columnar_store() : nullptr;
   return Status::OK();
-}
-
-Result<std::optional<Value>> TableScanOp::Next() {
-  if (pos_ >= table_->NumRows()) return std::optional<Value>();
-  ctx_->stats->rows_emitted++;
-  return std::optional<Value>(table_->rows()[pos_++]);
 }
 
 Result<size_t> TableScanOp::NextBatch(std::vector<Value>* out, size_t max) {
@@ -93,12 +99,6 @@ Status ExprSourceOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<std::optional<Value>> ExprSourceOp::Next() {
-  if (pos_ >= elements_.size()) return std::optional<Value>();
-  ctx_->stats->rows_emitted++;
-  return std::optional<Value>(elements_[pos_++]);
-}
-
 Result<size_t> ExprSourceOp::NextBatch(std::vector<Value>* out, size_t max) {
   TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
   const size_t take = std::min(max, elements_.size() - pos_);
@@ -119,7 +119,6 @@ std::string ExprSourceOp::Describe() const {
 
 Status FilterOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  work_ = 0;
   columnar_active_ = false;
   pending_ = ColumnBatch{};
   pending_pos_ = 0;
@@ -177,34 +176,6 @@ Result<ColumnBatch> FilterOp::NextColumnBatch() {
   }
 }
 
-Result<std::optional<Value>> FilterOp::Next() {
-  if (columnar_active_) {
-    while (pending_pos_ >= pending_.len) {
-      TMDB_ASSIGN_OR_RETURN(ColumnBatch batch, NextColumnBatch());
-      pending_ = batch;
-      pending_pos_ = 0;
-      if (pending_.len == 0) return std::optional<Value>();
-    }
-    return std::optional<Value>(
-        pending_.store->RowValue(pending_.RowId(pending_pos_++)));
-  }
-  while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, child_->Next());
-    if (!row.has_value()) return std::optional<Value>();
-    ctx_->stats->predicate_evals++;
-    TMDB_ASSIGN_OR_RETURN(Value keep, EvalWithRow(pred_, var_, *row, ctx_));
-    if (!keep.is_bool()) {
-      return Status::TypeError(
-          StrCat("filter predicate produced non-boolean ", keep.ToString()));
-    }
-    if (keep.AsBool()) {
-      ctx_->stats->rows_emitted++;
-      return row;
-    }
-  }
-}
-
 Result<size_t> FilterOp::NextBatch(std::vector<Value>* out, size_t max) {
   if (columnar_active_) {
     while (pending_pos_ >= pending_.len) {
@@ -220,31 +191,17 @@ Result<size_t> FilterOp::NextBatch(std::vector<Value>* out, size_t max) {
     }
     return take;
   }
-  // Pull whole input batches until at least one row survives the predicate
-  // (returning 0 would falsely signal end of stream).
-  while (true) {
-    TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    batch_.clear();
-    TMDB_ASSIGN_OR_RETURN(size_t got, child_->NextBatch(&batch_, max));
-    if (got == 0) return 0;
-    size_t appended = 0;
-    for (Value& row : batch_) {
-      ctx_->stats->predicate_evals++;
-      TMDB_ASSIGN_OR_RETURN(Value keep, EvalWithRow(pred_, var_, row, ctx_));
-      if (!keep.is_bool()) {
-        return Status::TypeError(
-            StrCat("filter predicate produced non-boolean ", keep.ToString()));
-      }
-      if (keep.AsBool()) {
-        ctx_->stats->rows_emitted++;
-        out->push_back(std::move(row));
-        ++appended;
-      }
-    }
-    // The rejected rows die here, not at the next call.
-    batch_.clear();
-    if (appended > 0) return appended;
-  }
+  return PullUntilOutput(
+      child_.get(), ctx_, &batch_, max, out, [&](Value& row) -> Status {
+        ctx_->stats->predicate_evals++;
+        TMDB_ASSIGN_OR_RETURN(Value keep, EvalWithRow(pred_, var_, row, ctx_));
+        if (!keep.is_bool()) {
+          return Status::TypeError(StrCat(
+              "filter predicate produced non-boolean ", keep.ToString()));
+        }
+        if (keep.AsBool()) out->push_back(std::move(row));
+        return Status::OK();
+      });
 }
 
 void FilterOp::Close() {
@@ -268,43 +225,17 @@ std::string FilterOp::Describe() const {
 Status MapOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   seen_.clear();
-  work_ = 0;
   return child_->Open(ctx);
 }
 
-Result<std::optional<Value>> MapOp::Next() {
-  while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, child_->Next());
-    if (!row.has_value()) return std::optional<Value>();
-    TMDB_ASSIGN_OR_RETURN(Value out, EvalWithRow(expr_, var_, *row, ctx_));
-    if (seen_.insert(out).second) {
-      ctx_->stats->rows_emitted++;
-      return std::optional<Value>(std::move(out));
-    }
-  }
-}
-
 Result<size_t> MapOp::NextBatch(std::vector<Value>* out, size_t max) {
-  while (true) {
-    TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    batch_.clear();
-    TMDB_ASSIGN_OR_RETURN(size_t got, child_->NextBatch(&batch_, max));
-    if (got == 0) return 0;
-    size_t appended = 0;
-    for (const Value& row : batch_) {
-      TMDB_ASSIGN_OR_RETURN(Value mapped, EvalWithRow(expr_, var_, row, ctx_));
-      if (seen_.insert(mapped).second) {
-        ctx_->stats->rows_emitted++;
-        out->push_back(std::move(mapped));
-        ++appended;
-      }
-    }
-    // The input rows die here, not at the next call: above a join they are
-    // its output tuples, which the budget should stop counting once mapped.
-    batch_.clear();
-    if (appended > 0) return appended;
-  }
+  return PullUntilOutput(
+      child_.get(), ctx_, &batch_, max, out, [&](const Value& row) -> Status {
+        TMDB_ASSIGN_OR_RETURN(Value mapped,
+                              EvalWithRow(expr_, var_, row, ctx_));
+        if (seen_.insert(mapped).second) out->push_back(std::move(mapped));
+        return Status::OK();
+      });
 }
 
 void MapOp::Close() {
@@ -323,58 +254,73 @@ Status UnnestOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   rest_names_.Clear();
   out_names_.Clear();
-  current_rest_.reset();
+  batch_.clear();
+  batch_pos_ = 0;
+  current_rest_ = Value();
   current_elems_.clear();
   elem_pos_ = 0;
-  work_ = 0;
   return child_->Open(ctx);
 }
 
-Result<std::optional<Value>> UnnestOp::Next() {
-  while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    if (current_rest_.has_value() && elem_pos_ < current_elems_.size()) {
-      const Value& elem = current_elems_[elem_pos_++];
-      TMDB_ASSIGN_OR_RETURN(Value out,
-                            ConcatTuples(*current_rest_, elem, &out_names_));
-      ctx_->stats->rows_emitted++;
-      return std::optional<Value>(std::move(out));
-    }
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, child_->Next());
-    if (!row.has_value()) return std::optional<Value>();
-    TMDB_ASSIGN_OR_RETURN(Value set, row->Field(attr_));
-    if (!set.is_collection()) {
-      return Status::TypeError(StrCat("Unnest attribute '", attr_,
-                                      "' is not a collection: ",
-                                      set.ToString()));
-    }
-    // Row minus the unnested attribute.
-    TMDB_ASSIGN_OR_RETURN(
-        TupleNames rest_names,
-        rest_names_.Get(row->FieldNames(), [&]() -> Result<TupleNames> {
-          std::vector<std::string> names;
-          for (const std::string& name : row->FieldNames().names()) {
-            if (name != attr_) names.push_back(name);
-          }
-          return TupleNames(std::move(names));
-        }));
-    std::vector<Value> values;
-    values.reserve(rest_names.size());
-    for (size_t i = 0; i < row->TupleSize(); ++i) {
-      if (row->FieldName(i) != attr_) values.push_back(row->FieldValue(i));
-    }
-    current_rest_ =
-        Value::SharedTuple(std::move(rest_names), std::move(values));
-    current_elems_ = set.Elements();
-    elem_pos_ = 0;
-    // Rows with an empty set vanish (μ is not information-preserving).
+Status UnnestOp::StartRow(const Value& row) {
+  TMDB_ASSIGN_OR_RETURN(Value set, row.Field(attr_));
+  if (!set.is_collection()) {
+    return Status::TypeError(StrCat("Unnest attribute '", attr_,
+                                    "' is not a collection: ",
+                                    set.ToString()));
   }
+  // Row minus the unnested attribute.
+  TMDB_ASSIGN_OR_RETURN(
+      TupleNames rest_names,
+      rest_names_.Get(row.FieldNames(), [&]() -> Result<TupleNames> {
+        std::vector<std::string> names;
+        for (const std::string& name : row.FieldNames().names()) {
+          if (name != attr_) names.push_back(name);
+        }
+        return TupleNames(std::move(names));
+      }));
+  std::vector<Value> values;
+  values.reserve(rest_names.size());
+  for (size_t i = 0; i < row.TupleSize(); ++i) {
+    if (row.FieldName(i) != attr_) values.push_back(row.FieldValue(i));
+  }
+  current_rest_ = Value::SharedTuple(std::move(rest_names), std::move(values));
+  current_elems_ = set.Elements();
+  elem_pos_ = 0;
+  return Status::OK();
+}
+
+Result<size_t> UnnestOp::NextBatch(std::vector<Value>* out, size_t max) {
+  size_t produced = 0;
+  while (produced < max) {
+    if (elem_pos_ < current_elems_.size()) {
+      TMDB_ASSIGN_OR_RETURN(
+          Value row, ConcatTuples(current_rest_, current_elems_[elem_pos_++],
+                                  &out_names_));
+      out->push_back(std::move(row));
+      ++produced;
+      continue;
+    }
+    if (batch_pos_ == batch_.size()) {
+      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
+      batch_.clear();
+      batch_pos_ = 0;
+      TMDB_ASSIGN_OR_RETURN(size_t got, child_->NextBatch(&batch_, max));
+      if (got == 0) break;
+    }
+    // Rows with an empty set vanish (μ is not information-preserving).
+    const Value row = std::move(batch_[batch_pos_++]);
+    TMDB_RETURN_IF_ERROR(StartRow(row));
+  }
+  ctx_->stats->rows_emitted += produced;
+  return produced;
 }
 
 void UnnestOp::Close() {
   rest_names_.Clear();
   out_names_.Clear();
-  current_rest_.reset();
+  batch_.clear();
+  current_rest_ = Value();
   current_elems_.clear();
   child_->Close();
 }
@@ -389,30 +335,27 @@ Status UnionOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   on_right_ = false;
   seen_.clear();
-  work_ = 0;
   TMDB_RETURN_IF_ERROR(left_->Open(ctx));
   return right_->Open(ctx);
 }
 
-Result<std::optional<Value>> UnionOp::Next() {
+Result<size_t> UnionOp::NextBatch(std::vector<Value>* out, size_t max) {
   while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
     PhysicalOp* source = on_right_ ? right_.get() : left_.get();
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, source->Next());
-    if (!row.has_value()) {
-      if (on_right_) return std::optional<Value>();
-      on_right_ = true;
-      continue;
-    }
-    if (seen_.insert(*row).second) {
-      ctx_->stats->rows_emitted++;
-      return row;
-    }
+    TMDB_ASSIGN_OR_RETURN(
+        size_t got,
+        PullUntilOutput(source, ctx_, &batch_, max, out, [&](Value& row) {
+          if (seen_.insert(row).second) out->push_back(std::move(row));
+          return Status::OK();
+        }));
+    if (got > 0 || on_right_) return got;
+    on_right_ = true;
   }
 }
 
 void UnionOp::Close() {
   seen_.clear();
+  batch_.clear();
   left_->Close();
   right_->Close();
 }
@@ -423,40 +366,43 @@ Status DifferenceOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   right_rows_.clear();
   build_res_.Reset(ctx->guard);
-  work_ = 0;
   TMDB_RETURN_IF_ERROR(right_->Open(ctx));
   while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, right_->Next());
-    if (!row.has_value()) break;
-    if (right_rows_.insert(std::move(*row)).second) {
-      // Approximate hash-set slot cost per distinct row. Charge() accounts
-      // immediately but defers the guard *check* to its granularity; the
-      // periodic check above bounds trip latency to one batch regardless.
-      TMDB_RETURN_IF_ERROR(
-          build_res_.Charge(sizeof(Value) + 2 * sizeof(void*)));
+    TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
+    batch_.clear();
+    TMDB_ASSIGN_OR_RETURN(size_t got,
+                          right_->NextBatch(&batch_, kExecBatchSize));
+    if (got == 0) break;
+    for (Value& row : batch_) {
+      if (right_rows_.insert(std::move(row)).second) {
+        // Approximate hash-set slot cost per distinct row. Charge() accounts
+        // immediately but defers the guard *check* to its granularity; the
+        // per-batch check above bounds trip latency to one batch regardless.
+        TMDB_RETURN_IF_ERROR(
+            build_res_.Charge(sizeof(Value) + 2 * sizeof(void*)));
+      }
     }
-    ctx_->stats->rows_built++;
+    ctx_->stats->rows_built += got;
   }
+  batch_.clear();
   right_->Close();
   return left_->Open(ctx);
 }
 
-Result<std::optional<Value>> DifferenceOp::Next() {
-  while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, left_->Next());
-    if (!row.has_value()) return std::optional<Value>();
-    if (right_rows_.count(*row) == 0) {
-      ctx_->stats->rows_emitted++;
-      return row;
-    }
-  }
+Result<size_t> DifferenceOp::NextBatch(std::vector<Value>* out, size_t max) {
+  return PullUntilOutput(left_.get(), ctx_, &batch_, max, out,
+                         [&](Value& row) {
+                           if (right_rows_.count(row) == 0) {
+                             out->push_back(std::move(row));
+                           }
+                           return Status::OK();
+                         });
 }
 
 void DifferenceOp::Close() {
   right_rows_.clear();
   build_res_.Release();
+  batch_.clear();
   left_->Close();
 }
 

@@ -29,7 +29,6 @@ class TableScanOp final : public PhysicalOp {
       : table_(std::move(table)), try_columnar_(try_columnar) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -54,7 +53,6 @@ class ExprSourceOp final : public PhysicalOp {
   explicit ExprSourceOp(Expr expr) : expr_(std::move(expr)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -88,7 +86,6 @@ class FilterOp final : public PhysicalOp {
         cpred_(std::move(cpred)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -113,7 +110,6 @@ class FilterOp final : public PhysicalOp {
   std::optional<ColumnPredicate> cpred_;
   ExecContext* ctx_ = nullptr;
   std::vector<Value> batch_;  // scratch input batch, reused across calls
-  uint64_t work_ = 0;         // rows examined, for periodic guard checks
 
   // Columnar state, live while columnar_active_.
   bool columnar_active_ = false;
@@ -133,7 +129,6 @@ class MapOp final : public PhysicalOp {
       : child_(std::move(child)), var_(std::move(var)), expr_(std::move(expr)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -148,7 +143,6 @@ class MapOp final : public PhysicalOp {
   ExecContext* ctx_ = nullptr;
   std::unordered_set<Value, ValueHash, ValueEq> seen_;
   std::vector<Value> batch_;  // scratch input batch, reused across calls
-  uint64_t work_ = 0;         // rows examined, for periodic guard checks
 };
 
 /// μ: flattens the set-of-tuples attribute `attr`; each element's fields are
@@ -159,7 +153,7 @@ class UnnestOp final : public PhysicalOp {
       : child_(std::move(child)), attr_(std::move(attr)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
   std::vector<const PhysicalOp*> children() const override {
@@ -167,17 +161,21 @@ class UnnestOp final : public PhysicalOp {
   }
 
  private:
+  /// Takes `row` as the row whose set is unnested next.
+  Status StartRow(const Value& row);
+
   PhysicalOpPtr child_;
   std::string attr_;
   ExecContext* ctx_ = nullptr;
-  std::optional<Value> current_rest_;   // row without attr
+  std::vector<Value> batch_;            // input rows not yet unnested
+  size_t batch_pos_ = 0;
+  Value current_rest_;                  // row without attr
   std::vector<Value> current_elems_;    // elements still to emit
   // Names lists of the rest tuples and of the output tuples, one per input
   // shape.
   TupleNamesMemo rest_names_;
   TupleNamesMemo out_names_;
   size_t elem_pos_ = 0;
-  uint64_t work_ = 0;  // rows examined, for periodic guard checks
 };
 
 /// Set union: left rows, then right rows not already seen.
@@ -187,7 +185,7 @@ class UnionOp final : public PhysicalOp {
       : left_(std::move(left)), right_(std::move(right)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override { return "Union"; }
   std::vector<const PhysicalOp*> children() const override {
@@ -200,7 +198,7 @@ class UnionOp final : public PhysicalOp {
   ExecContext* ctx_ = nullptr;
   bool on_right_ = false;
   std::unordered_set<Value, ValueHash, ValueEq> seen_;
-  uint64_t work_ = 0;  // rows examined, for periodic guard checks
+  std::vector<Value> batch_;  // scratch input batch, reused across calls
 };
 
 /// Set difference: left rows not occurring in the (materialised) right.
@@ -210,7 +208,7 @@ class DifferenceOp final : public PhysicalOp {
       : left_(std::move(left)), right_(std::move(right)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override { return "Difference"; }
   std::vector<const PhysicalOp*> children() const override {
@@ -223,7 +221,7 @@ class DifferenceOp final : public PhysicalOp {
   ExecContext* ctx_ = nullptr;
   std::unordered_set<Value, ValueHash, ValueEq> right_rows_;
   GuardReservation build_res_;  // bytes charged for right_rows_
-  uint64_t work_ = 0;           // rows examined, for periodic guard checks
+  std::vector<Value> batch_;    // scratch input batch, reused across calls
 };
 
 }  // namespace tmdb

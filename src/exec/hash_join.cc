@@ -47,10 +47,10 @@ bool HashJoinOp::GroupsPerKey(const JoinSpec& spec) {
 
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  out_names_.Clear();
+  kernel_.ClearNames();
   probe_batch_.clear();
-  serve_.clear();
-  serve_pos_ = 0;
+  probe_pairs_ = 0;
+  serve_.Clear();
   materialized_ = false;
   spilled_ = false;
   build_res_.Reset(ctx->guard);
@@ -78,8 +78,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
       // at a time: refund the probe scratch (its values freed on unwind)
       // and restart the left input.
       build_res_.Shrink(build_res_.held() - held_before);
-      serve_.clear();
-      serve_.shrink_to_fit();
+      serve_.Clear();
       left_->Close();
       TMDB_RETURN_IF_ERROR(left_->Open(ctx));
     } else {
@@ -136,89 +135,31 @@ Status HashJoinOp::BuildTable(ExecContext* ctx) {
 
 Status HashJoinOp::ProcessMatch(const JoinTable& table, const Value& left_row,
                                 uint32_t slot, ExecContext* ctx,
+                                uint64_t* pairs,
                                 std::vector<Value>* out) const {
-  // A literal-true residual still costs one predicate_eval per pair — the
-  // counter says how many pairs were considered, not how much work the
-  // evaluator did.
-  auto eval_pred = [&](const Value& right_row) -> Result<bool> {
-    if (pred_is_true_) {
-      ctx->stats->predicate_evals++;
-      return true;
-    }
-    return EvalJoinPred(spec_, left_row, right_row, ctx);
-  };
-  const uint32_t first = table.first(slot);
-  switch (spec_.mode) {
-    case JoinMode::kInner:
-    case JoinMode::kLeftOuter: {
-      bool matched = false;
-      for (uint32_t j = first; j != JoinTable::kNone; j = table.next(j)) {
-        const Value& right_row = table.row(j);
-        TMDB_ASSIGN_OR_RETURN(bool match, eval_pred(right_row));
-        if (match) {
-          matched = true;
-          TMDB_ASSIGN_OR_RETURN(
-              Value o, ConcatTuples(left_row, right_row, &out_names_));
-          out->push_back(std::move(o));
-        }
-      }
-      if (spec_.mode == JoinMode::kLeftOuter && !matched) {
-        TMDB_ASSIGN_OR_RETURN(
-            Value o,
-            ConcatTuples(left_row, NullTupleOfType(spec_.right_type),
-                         &out_names_));
-        out->push_back(std::move(o));
-      }
-      return Status::OK();
-    }
-    case JoinMode::kSemi:
-    case JoinMode::kAnti: {
-      const bool want_match = spec_.mode == JoinMode::kSemi;
-      bool matched = false;
-      for (uint32_t j = first; j != JoinTable::kNone; j = table.next(j)) {
-        TMDB_ASSIGN_OR_RETURN(bool match, eval_pred(table.row(j)));
-        if (match) {
-          matched = true;
-          break;  // the first match decides
-        }
-      }
-      if (matched == want_match) out->push_back(left_row);
-      return Status::OK();
-    }
-    case JoinMode::kNestJoin: {
-      // G's image of one matching right row.
-      auto image = [&](const Value& right_row,
-                       std::vector<Value>* group) -> Status {
-        if (func_is_right_ident_) {
-          group->push_back(right_row);
-          return Status::OK();
-        }
-        TMDB_ASSIGN_OR_RETURN(Value g,
-                              EvalJoinFunc(spec_, left_row, right_row, ctx));
-        group->push_back(std::move(g));
-        return Status::OK();
-      };
-      Value set;
-      if (slot_sets_ && slot != JoinTable::kNone) {
-        uint32_t pairs = 0;
-        TMDB_ASSIGN_OR_RETURN(set, table.SharedSlotSet(slot, image, &pairs));
-        ctx->stats->predicate_evals += pairs;
-      } else {
-        TMDB_ASSIGN_OR_RETURN(
-            set, table.SlotSet(slot, [&](const Value& right_row,
-                                         std::vector<Value>* group) -> Status {
-              TMDB_ASSIGN_OR_RETURN(bool match, eval_pred(right_row));
-              return match ? image(right_row, group) : Status::OK();
-            }));
-      }
-      TMDB_ASSIGN_OR_RETURN(
-          Value o,
-          ExtendTuple(left_row, spec_.label, std::move(set), &out_names_));
-      out->push_back(std::move(o));
-      return Status::OK();
-    }
+  if (slot_sets_ && slot != JoinTable::kNone) {
+    // Every pair still counts one predicate_eval, as the kernel's walk
+    // would.
+    uint32_t slot_rows = 0;
+    TMDB_ASSIGN_OR_RETURN(
+        Value set,
+        table.SharedSlotSet(
+            slot,
+            [&](const Value& right_row, std::vector<Value>* group) {
+              return kernel_.Image(left_row, right_row, ctx, group);
+            },
+            &slot_rows));
+    ctx->stats->predicate_evals += slot_rows;
+    return kernel_.EmitGroup(left_row, set, out);
   }
-  return Status::Internal("unhandled join mode");
+  uint32_t j = table.first(slot);
+  auto next_row = [&]() -> const Value* {
+    if (j == JoinTable::kNone) return nullptr;
+    const Value* row = &table.row(j);
+    j = table.next(j);
+    return row;
+  };
+  return kernel_.Join(left_row, next_row, ctx, pairs, out);
 }
 
 Result<uint32_t> HashJoinOp::ProbeSlot(const JoinTable& table,
@@ -249,10 +190,11 @@ Result<uint32_t> HashJoinOp::ProbeSlot(const JoinTable& table,
 }
 
 Status HashJoinOp::ProcessLeftRow(const Value& left_row, ExecContext* ctx,
+                                  uint64_t* pairs,
                                   std::vector<Value>* out) const {
   TMDB_ASSIGN_OR_RETURN(uint32_t slot,
                         ProbeSlot(table_, left_row, nullptr, ctx));
-  return ProcessMatch(table_, left_row, slot, ctx, out);
+  return ProcessMatch(table_, left_row, slot, ctx, pairs, out);
 }
 
 Status HashJoinOp::ParallelProbe() {
@@ -277,9 +219,11 @@ Status HashJoinOp::ParallelProbe() {
             probe_evals[m] != nullptr ? probe_evals[m].get() : ctx_->subplans;
         wctx.stats = &local_stats[m];
         wctx.guard = ctx_->guard;
+        uint64_t pairs = 0;
         for (size_t i = range.begin; i < range.end; ++i) {
           TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(&wctx, i - range.begin));
-          TMDB_RETURN_IF_ERROR(ProcessLeftRow(rows[i], &wctx, &outputs[m]));
+          TMDB_RETURN_IF_ERROR(
+              ProcessLeftRow(rows[i], &wctx, &pairs, &outputs[m]));
         }
         return Status::OK();
       }));
@@ -289,28 +233,21 @@ Status HashJoinOp::ParallelProbe() {
   size_t total = 0;
   for (const std::vector<Value>& part : outputs) total += part.size();
   TMDB_RETURN_IF_ERROR(build_res_.Add(total * sizeof(Value)));
-  serve_.reserve(total);
+  std::vector<Value>* serve = serve_.rows();
+  serve->reserve(total);
   for (std::vector<Value>& part : outputs) {
-    for (Value& row : part) serve_.push_back(std::move(row));
+    for (Value& row : part) serve->push_back(std::move(row));
   }
   return Status::OK();
 }
 
 Result<bool> HashJoinOp::Refill() {
-  serve_.clear();
-  serve_pos_ = 0;
   if (materialized_) return false;
+  std::vector<Value>* out = serve_.rows();
   while (true) {
     if (Status s = CheckGuard(ctx_); !s.ok()) {
-      if (!SpillEligibleTrip(ctx_, s)) return s;
-      // The table fit, but what the plan has built since no longer does.
-      // Nothing is in flight at a batch boundary, so the Grace path can
-      // take over the rest of the left input: the build rows go to disk
-      // and the output of the unread left rows fills serve_.
-      TMDB_RETURN_IF_ERROR(SpillBuildAndProbe(ctx_, table_.TakeRows(),
-                                              /*right_open=*/false,
-                                              /*left_open=*/true));
-      return !serve_.empty();
+      TMDB_RETURN_IF_ERROR(DivertProbe(s));
+      return !out->empty();
     }
     probe_batch_.clear();
     TMDB_ASSIGN_OR_RETURN(size_t got,
@@ -319,50 +256,47 @@ Result<bool> HashJoinOp::Refill() {
       DropTable();
       return false;
     }
-    for (const Value& left_row : probe_batch_) {
-      TMDB_RETURN_IF_ERROR(ProcessLeftRow(left_row, ctx_, &serve_));
+    for (size_t i = 0; i < probe_batch_.size(); ++i) {
+      const size_t emitted = out->size();
+      if (Status s = ProcessLeftRow(probe_batch_[i], ctx_, &probe_pairs_, out);
+          !s.ok()) {
+        // The trip cut one left row's pairs short: its partial output goes,
+        // and the row is joined again with the ones after it.
+        out->erase(out->begin() + static_cast<ptrdiff_t>(emitted), out->end());
+        probe_batch_.erase(probe_batch_.begin(),
+                           probe_batch_.begin() + static_cast<ptrdiff_t>(i));
+        TMDB_RETURN_IF_ERROR(DivertProbe(s));
+        return !out->empty();
+      }
     }
-    if (!serve_.empty()) return true;
+    probe_batch_.clear();
+    if (!out->empty()) return true;
   }
+}
+
+Status HashJoinOp::DivertProbe(const Status& trip) {
+  if (!SpillEligibleTrip(ctx_, trip)) return trip;
+  // The table fit, but what the plan has built since no longer does.
+  // Nothing else is in flight, so the Grace path can take over the left
+  // rows not yet joined: the build rows go to disk and the output of those
+  // rows is appended to serve_.
+  return SpillBuildAndProbe(ctx_, table_.TakeRows(), /*right_open=*/false,
+                            /*left_open=*/true, std::move(probe_batch_));
 }
 
 void HashJoinOp::DropTable() {
   build_res_.Shrink(table_.TakeRows().size() * sizeof(Value));
 }
 
-Result<std::optional<Value>> HashJoinOp::Next() {
-  if (serve_pos_ >= serve_.size()) {
-    TMDB_ASSIGN_OR_RETURN(bool more, Refill());
-    if (!more) return std::optional<Value>();
-  }
-  ctx_->stats->rows_emitted++;
-  return std::optional<Value>(std::move(serve_[serve_pos_++]));
-}
-
 Result<size_t> HashJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
-  size_t produced = 0;
-  while (produced < max) {
-    if (serve_pos_ >= serve_.size()) {
-      TMDB_ASSIGN_OR_RETURN(bool more, Refill());
-      if (!more) break;
-    }
-    const size_t take = std::min(max - produced, serve_.size() - serve_pos_);
-    const auto from = serve_.begin() + static_cast<ptrdiff_t>(serve_pos_);
-    out->insert(out->end(), std::make_move_iterator(from),
-                std::make_move_iterator(from + static_cast<ptrdiff_t>(take)));
-    serve_pos_ += take;
-    produced += take;
-    ctx_->stats->rows_emitted += take;
-  }
-  return produced;
+  return serve_.Serve(out, max, ctx_->stats, [this] { return Refill(); });
 }
 
 void HashJoinOp::Close() {
-  out_names_.Clear();
+  kernel_.ClearNames();
   probe_batch_.clear();
-  serve_.clear();
-  serve_.shrink_to_fit();
-  serve_pos_ = 0;
+  probe_pairs_ = 0;
+  serve_.Clear();
   materialized_ = false;
   spilled_ = false;
   table_.Reset(nullptr);
@@ -383,7 +317,7 @@ std::string HashJoinOp::Describe() const {
   std::string out =
       StrCat("HashJoin<", JoinModeName(spec_.mode), ">[", spec_.left_var, ",",
              spec_.right_var, " : keys(", Join(keys, ", "), ")");
-  if (!pred_is_true_) {
+  if (!kernel_.pred_is_true()) {
     out += StrCat(", residual ", spec_.pred.ToString());
   }
   if (spec_.mode == JoinMode::kNestJoin) {

@@ -47,15 +47,15 @@ namespace tmdb {
 /// execution: slots keep per-key build order, morsel outputs are
 /// concatenated in probe order, and worker-local stats are summed
 /// deterministically. Serially, one loop probes a left batch at a time and
-/// serves its output through Next and NextBatch.
+/// serves its output through NextBatch.
 ///
 /// Under a memory budget the table charges its own arrays exactly, and a
 /// memory trip fails the query unless ExecContext::spill is set. With
 /// spill, a trip while the parallel probe materialises retries with the
 /// serial probe, and a trip while the build side materialises or indexes,
-/// or at a serial probe batch boundary, degrades to Grace-style
-/// partitioned execution instead of failing (hash_join_spill.cc): the build
-/// rows and the (unread) probe rows partition to disk on the composite
+/// or in the serial probe, degrades to Grace-style partitioned execution
+/// instead of failing (hash_join_spill.cc): the build rows and the probe
+/// rows not yet joined partition to disk on the composite
 /// key's hash, partitions are processed one at a time into a JoinTable
 /// each (recursing on partitions that still exceed the budget, to a
 /// bounded depth), and spilled bytes are refunded to the guard. Rows that
@@ -84,14 +84,11 @@ class HashJoinOp final : public PhysicalOp {
         right_keys_(std::move(right_keys)),
         fast_spec_(std::move(fast_keys)),
         table_(right_keys_, spec_.right_var, raw_spec()),
-        pred_is_true_(spec_.pred.Equals(Expr::True())),
-        func_is_right_ident_(spec_.func.is_var() &&
-                             spec_.func.var_name() == spec_.right_var),
-        slot_sets_(spec_.mode == JoinMode::kNestJoin && pred_is_true_ &&
-                   GroupsPerKey(spec_)) {}
+        kernel_(spec_),
+        slot_sets_(spec_.mode == JoinMode::kNestJoin &&
+                   kernel_.pred_is_true() && GroupsPerKey(spec_)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -117,21 +114,27 @@ class HashJoinOp final : public PhysicalOp {
   /// Refills serve_ with the output of the next left batch; false at the
   /// end of the left input, or once a materialised output is served.
   Result<bool> Refill();
+  /// Hands the left rows not yet joined (those in probe_batch_, then the
+  /// rest of the left input) to the Grace path when `trip` is a memory trip
+  /// spill can relieve; otherwise returns `trip`.
+  Status DivertProbe(const Status& trip);
   /// Frees the table and refunds its build rows once the probe input is
   /// spent, rather than at Close: what the plan builds above the join gets
   /// the budget the join no longer needs.
   void DropTable();
-  /// Appends the join output rows of one left row to `out` (all modes).
+  /// Appends the join output rows of one left row to `out` (all modes);
+  /// `pairs` is the caller's JoinKernel pair count.
   Status ProcessLeftRow(const Value& left_row, ExecContext* ctx,
-                        std::vector<Value>* out) const;
+                        uint64_t* pairs, std::vector<Value>* out) const;
   /// The slot `left_row` probes in `table`; `key` is its composite key
   /// when the caller already holds it (spill partitions decode it).
   Result<uint32_t> ProbeSlot(const JoinTable& table, const Value& left_row,
                              const Value* key, ExecContext* ctx) const;
-  /// Mode dispatch for one left row against the rows of `slot` — shared by
-  /// the in-memory probe and every spill partition.
+  /// The output of one left row against the rows of `slot`: the shared
+  /// per-slot set, or the join kernel over the slot's chain. Shared by the
+  /// in-memory probe and every spill partition.
   Status ProcessMatch(const JoinTable& table, const Value& left_row,
-                      uint32_t slot, ExecContext* ctx,
+                      uint32_t slot, ExecContext* ctx, uint64_t* pairs,
                       std::vector<Value>* out) const;
 
   // --- Grace spill path (hash_join_spill.cc) ---
@@ -145,10 +148,11 @@ class HashJoinOp final : public PhysicalOp {
   /// Diverts the build to disk: partitions the salvaged (and any remaining)
   /// build rows plus the probe side, then processes partitions one at a
   /// time into serve_. `right_open` says the build input still has rows;
-  /// `left_open` says the probe input is open mid-stream, and only its
-  /// unread rows are joined.
+  /// `left_open` says the probe input is open mid-stream: only
+  /// `pending_left` and its unread rows are joined.
   Status SpillBuildAndProbe(ExecContext* ctx, std::vector<Value> build_rows,
-                            bool right_open, bool left_open = false);
+                            bool right_open, bool left_open = false,
+                            std::vector<Value> pending_left = {});
   /// Loads one partition's build file and probes its probe file, appending
   /// (left-row tag, output row) pairs. Recurses via Repartition when the
   /// partition alone exceeds the budget.
@@ -172,12 +176,12 @@ class HashJoinOp final : public PhysicalOp {
   // The in-memory build table (unused once the build spilled).
   JoinTable table_;
 
-  // Join output, served by Next/NextBatch: one left batch's output on the
+  // Join output, served by NextBatch: one left batch's output on the
   // serial probe, or the whole output when materialized_ (the parallel and
   // spill paths fill it at Open).
   std::vector<Value> probe_batch_;
-  std::vector<Value> serve_;
-  size_t serve_pos_ = 0;
+  uint64_t probe_pairs_ = 0;  // the serial probe's JoinKernel pair count
+  JoinOutput serve_;
   bool materialized_ = false;
 
   // True once this Open diverted to the Grace spill path.
@@ -185,15 +189,10 @@ class HashJoinOp final : public PhysicalOp {
 
   // Bytes charged to the guard for build/probe materialisation.
   GuardReservation build_res_;
-  // Names lists of the output tuples, one per input shape.
-  mutable TupleNamesMemo out_names_;
 
-  // Probe shortcuts: a literal-true residual predicate still counts one
-  // predicate_eval per considered pair, and an identity G (= right_var)
-  // hands back the right row — both exactly what the evaluator would
-  // produce. slot_sets_: the nest join shares one set per table slot.
-  const bool pred_is_true_;
-  const bool func_is_right_ident_;
+  // The per-left-row join of every mode; slot_sets_: the nest join shares
+  // one set per table slot instead.
+  JoinKernel kernel_;
   const bool slot_sets_;
 };
 

@@ -18,7 +18,8 @@ namespace tmdb {
 
 Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
                                       std::vector<Value> build_rows,
-                                      bool right_open, bool left_open) {
+                                      bool right_open, bool left_open,
+                                      std::vector<Value> pending_left) {
   spilled_ = true;
   materialized_ = true;
 
@@ -82,14 +83,8 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
       parts[p] = {writers[p]->path(), pwriters[p]->path()};
     }
     uint64_t tag = 0;  // left-row index from here on; restores output order
-    std::vector<Value> batch;
-    while (true) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-      batch.clear();
-      TMDB_ASSIGN_OR_RETURN(size_t got, left_->NextBatch(&batch,
-                                                         kExecBatchSize));
-      if (got == 0) break;
-      for (Value& left_row : batch) {
+    auto spill_probe_rows = [&](std::vector<Value>* rows) -> Status {
+      for (Value& left_row : *rows) {
         TMDB_ASSIGN_OR_RETURN(Value key, EvalCompositeKey(left_keys_,
                                                           spec_.left_var,
                                                           left_row, ctx));
@@ -101,6 +96,17 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
         left_row = Value();
         TMDB_RETURN_IF_ERROR(AppendRecord(ctx, pwriters[p].get(), scratch));
       }
+      rows->clear();
+      return Status::OK();
+    };
+    TMDB_RETURN_IF_ERROR(spill_probe_rows(&pending_left));
+    std::vector<Value> batch;
+    while (true) {
+      TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
+      TMDB_ASSIGN_OR_RETURN(size_t got, left_->NextBatch(&batch,
+                                                         kExecBatchSize));
+      if (got == 0) break;
+      TMDB_RETURN_IF_ERROR(spill_probe_rows(&batch));
     }
     left_->Close();
     TMDB_RETURN_IF_ERROR(FinishPartitionWriters(ctx, pwriters));
@@ -119,8 +125,9 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
       tagged.begin(), tagged.end(),
       [](const std::pair<uint64_t, Value>& a,
          const std::pair<uint64_t, Value>& b) { return a.first < b.first; });
-  serve_.reserve(tagged.size());
-  for (auto& entry : tagged) serve_.push_back(std::move(entry.second));
+  std::vector<Value>* serve = serve_.rows();
+  serve->reserve(serve->size() + tagged.size());
+  for (auto& entry : tagged) serve->push_back(std::move(entry.second));
   return Status::OK();
 }
 
@@ -192,6 +199,7 @@ Status HashJoinOp::ProcessSpillPartition(
     ValueDecoder row_decoder;
     std::vector<Value> row_out;
     size_t i = 0;
+    uint64_t pairs = 0;
     while (true) {
       std::string_view rec;
       bool eof = false;
@@ -211,7 +219,8 @@ Status HashJoinOp::ProcessSpillPartition(
       TMDB_ASSIGN_OR_RETURN(uint32_t slot,
                             ProbeSlot(table, left_row, &key, ctx));
       row_out.clear();
-      TMDB_RETURN_IF_ERROR(ProcessMatch(table, left_row, slot, ctx, &row_out));
+      TMDB_RETURN_IF_ERROR(
+          ProcessMatch(table, left_row, slot, ctx, &pairs, &row_out));
       if (!row_out.empty()) {
         TMDB_RETURN_IF_ERROR(build_res_.Add(
             row_out.size() * sizeof(std::pair<uint64_t, Value>)));

@@ -56,4 +56,23 @@ Result<Value> EvalJoinFunc(const JoinSpec& spec, const Value& left_row,
   return EvalExpr(spec.func, env, ctx->subplans);
 }
 
+Status JoinKernel::Image(const Value& left_row, const Value& right_row,
+                         ExecContext* ctx, std::vector<Value>* group) const {
+  if (func_is_right_ident_) {
+    group->push_back(right_row);
+    return Status::OK();
+  }
+  TMDB_ASSIGN_OR_RETURN(Value g, EvalJoinFunc(spec_, left_row, right_row, ctx));
+  group->push_back(std::move(g));
+  return Status::OK();
+}
+
+Status JoinKernel::EmitGroup(const Value& left_row, const Value& set,
+                             std::vector<Value>* out) const {
+  TMDB_ASSIGN_OR_RETURN(Value o,
+                        ExtendTuple(left_row, spec_.label, set, &out_names_));
+  out->push_back(std::move(o));
+  return Status::OK();
+}
+
 }  // namespace tmdb

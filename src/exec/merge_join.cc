@@ -199,20 +199,17 @@ Status MergeJoinOp::OpenSide(PhysicalOp* source, const std::vector<Expr>& keys,
 
 Status MergeJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  out_names_.Clear();
+  kernel_.ClearNames();
+  serve_.Clear();
   left_side_.Reset(ctx->guard);
   right_side_.Reset(ctx->guard);
-  left_cur_ = Keyed();
   right_pending_ = Keyed();
   right_pending_valid_ = false;
   right_eof_ = false;
   right_run_.clear();
   right_run_key_ = Value();
   right_run_valid_ = false;
-  run_pos_ = 0;
-  left_consumed_ = true;
-  left_matched_ = false;
-  work_ = 0;
+  steps_ = 0;
   run_res_.Reset(ctx->guard);
   TMDB_RETURN_IF_ERROR(OpenSide(left_.get(), left_keys_, spec_.left_var,
                                 &left_side_, "mj-left"));
@@ -266,9 +263,7 @@ Status MergeJoinOp::LoadRightRun(const Value& key) {
     if (right_pending_.first.Compare(key) < 0) {
       right_pending_ = Keyed();
       right_pending_valid_ = false;
-      if ((++work_ & (kExecBatchSize - 1)) == 0) {
-        TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-      }
+      TMDB_RETURN_IF_ERROR(CountStep());
       continue;
     }
     break;
@@ -300,109 +295,43 @@ Status MergeJoinOp::LoadRightRun(const Value& key) {
     right_run_.push_back(std::move(right_pending_.second));
     right_pending_ = Keyed();
     right_pending_valid_ = false;
-    if ((++work_ & (kExecBatchSize - 1)) == 0) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    }
+    TMDB_RETURN_IF_ERROR(CountStep());
   }
   return Status::OK();
 }
 
-Result<std::optional<Value>> MergeJoinOp::Next() {
+Status MergeJoinOp::CountStep() {
+  return (++steps_ & (kExecBatchSize - 1)) == 0 ? CheckGuard(ctx_)
+                                                   : Status::OK();
+}
+
+Result<bool> MergeJoinOp::Refill() {
+  // One left row at a time, straight from its sorted side: a spilled side
+  // then holds one decoded left row, not a batch of them.
+  Keyed left;
   while (true) {
-    if ((++work_ & (kExecBatchSize - 1)) == 0) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    }
-    if (left_consumed_) {
-      TMDB_ASSIGN_OR_RETURN(bool have, NextFromSide(&left_side_, &left_cur_));
-      if (!have) return std::optional<Value>();
-      TMDB_RETURN_IF_ERROR(LoadRightRun(left_cur_.first));
-      left_consumed_ = false;
-      left_matched_ = false;
-      run_pos_ = 0;
-    }
-
-    const Value& left_row = left_cur_.second;
-
-    switch (spec_.mode) {
-      case JoinMode::kInner:
-      case JoinMode::kLeftOuter: {
-        while (run_pos_ < right_run_.size()) {
-          const Value& right_row = right_run_[run_pos_++];
-          TMDB_ASSIGN_OR_RETURN(bool match,
-                                EvalJoinPred(spec_, left_row, right_row, ctx_));
-          if (match) {
-            left_matched_ = true;
-            TMDB_ASSIGN_OR_RETURN(
-                Value out, ConcatTuples(left_row, right_row, &out_names_));
-            ctx_->stats->rows_emitted++;
-            return std::optional<Value>(std::move(out));
-          }
-        }
-        const bool emit_padded =
-            spec_.mode == JoinMode::kLeftOuter && !left_matched_;
-        Value padded_left = left_row;  // copy before advancing
-        left_consumed_ = true;
-        if (emit_padded) {
-          TMDB_ASSIGN_OR_RETURN(
-              Value out,
-              ConcatTuples(padded_left, NullTupleOfType(spec_.right_type),
-                           &out_names_));
-          ctx_->stats->rows_emitted++;
-          return std::optional<Value>(std::move(out));
-        }
-        continue;
-      }
-
-      case JoinMode::kSemi:
-      case JoinMode::kAnti: {
-        bool matched = false;
-        for (size_t i = 0; i < right_run_.size(); ++i) {
-          TMDB_ASSIGN_OR_RETURN(
-              bool match,
-              EvalJoinPred(spec_, left_row, right_run_[i], ctx_));
-          if (match) {
-            matched = true;
-            break;
-          }
-        }
-        Value out = left_row;
-        left_consumed_ = true;
-        if (matched == (spec_.mode == JoinMode::kSemi)) {
-          ctx_->stats->rows_emitted++;
-          return std::optional<Value>(std::move(out));
-        }
-        continue;
-      }
-
-      case JoinMode::kNestJoin: {
-        std::vector<Value> group;
-        for (size_t i = 0; i < right_run_.size(); ++i) {
-          TMDB_ASSIGN_OR_RETURN(
-              bool match,
-              EvalJoinPred(spec_, left_row, right_run_[i], ctx_));
-          if (match) {
-            TMDB_ASSIGN_OR_RETURN(
-                Value g, EvalJoinFunc(spec_, left_row, right_run_[i], ctx_));
-            group.push_back(std::move(g));
-          }
-        }
-        TMDB_ASSIGN_OR_RETURN(Value out,
-                              ExtendTuple(left_row, spec_.label,
-                                          Value::Set(std::move(group)),
-                                          &out_names_));
-        left_consumed_ = true;
-        ctx_->stats->rows_emitted++;
-        return std::optional<Value>(std::move(out));
-      }
-    }
+    TMDB_RETURN_IF_ERROR(CountStep());
+    TMDB_ASSIGN_OR_RETURN(bool have, NextFromSide(&left_side_, &left));
+    if (!have) return false;
+    TMDB_RETURN_IF_ERROR(LoadRightRun(left.first));
+    const Value* it = right_run_.data();
+    const Value* const end = it + right_run_.size();
+    TMDB_RETURN_IF_ERROR(kernel_.Join(
+        left.second, [&] { return it == end ? nullptr : it++; }, ctx_,
+        &steps_, serve_.rows()));
+    if (!serve_.rows()->empty()) return true;
   }
 }
 
+Result<size_t> MergeJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
+  return serve_.Serve(out, max, ctx_->stats, [this] { return Refill(); });
+}
+
 void MergeJoinOp::Close() {
-  out_names_.Clear();
+  kernel_.ClearNames();
+  serve_.Clear();
   left_side_.Reset(nullptr);
   right_side_.Reset(nullptr);
-  left_cur_ = Keyed();
   right_pending_ = Keyed();
   right_pending_valid_ = false;
   right_run_.clear();

@@ -2,7 +2,6 @@
 #define TMDB_EXEC_MERGE_JOIN_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,10 +44,11 @@ class MergeJoinOp final : public PhysicalOp {
         right_(std::move(right)),
         spec_(std::move(spec)),
         left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)) {}
+        right_keys_(std::move(right_keys)),
+        kernel_(spec_) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
   std::vector<const PhysicalOp*> children() const override {
@@ -100,6 +100,13 @@ class MergeJoinOp final : public PhysicalOp {
   /// right cursor only moves forward). Equal consecutive left keys reuse
   /// the buffered run.
   Status LoadRightRun(const Value& key);
+  /// Counts one step of the merge in steps_ and checkpoints once per
+  /// kExecBatchSize steps.
+  Status CountStep();
+
+  /// Refills serve_ with the output of the next left row that has one;
+  /// false at the end of the left input.
+  Result<bool> Refill();
 
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;
@@ -111,20 +118,20 @@ class MergeJoinOp final : public PhysicalOp {
   SortedSide left_side_;
   SortedSide right_side_;
 
-  Keyed left_cur_;             // valid while !left_consumed_
   Keyed right_pending_;        // first right row past the current run
   bool right_pending_valid_ = false;
   bool right_eof_ = false;
   std::vector<Value> right_run_;  // rows of the current equal-key run
   Value right_run_key_;
   bool right_run_valid_ = false;
-  size_t run_pos_ = 0;         // inner-mode cursor within the run
-  bool left_consumed_ = true;  // true → advance to next left row
-  bool left_matched_ = false;
   GuardReservation run_res_;   // right-run buffer slots (live-checked)
-  // Names lists of the output tuples, one per input shape.
-  mutable TupleNamesMemo out_names_;
-  uint64_t work_ = 0;          // rows examined, for periodic guard checks
+  // Left rows, right rows and pairs examined: CountStep's and the
+  // JoinKernel's one count.
+  uint64_t steps_ = 0;
+
+  JoinKernel kernel_;
+  // One left row's output at a time, served by NextBatch.
+  JoinOutput serve_;
 };
 
 }  // namespace tmdb

@@ -149,12 +149,6 @@ Status NestOp::Group(const std::vector<Value>& rows) {
   return Status::OK();
 }
 
-Result<std::optional<Value>> NestOp::Next() {
-  if (pos_ >= output_.size()) return std::optional<Value>();
-  ctx_->stats->rows_emitted++;
-  return std::optional<Value>(output_[pos_++]);
-}
-
 Result<size_t> NestOp::NextBatch(std::vector<Value>* out, size_t max) {
   TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
   const size_t take = std::min(max, output_.size() - pos_);

@@ -1,7 +1,6 @@
 #ifndef TMDB_EXEC_NEST_OP_H_
 #define TMDB_EXEC_NEST_OP_H_
 
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,7 +53,6 @@ class NestOp final : public PhysicalOp {
         null_group_to_empty_(null_group_to_empty) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;

@@ -67,17 +67,6 @@ Result<ColumnBatch> PhysicalOp::NextColumnBatch() {
       StrCat("NextColumnBatch on a row-only operator: ", Describe()));
 }
 
-Result<size_t> PhysicalOp::NextBatch(std::vector<Value>* out, size_t max) {
-  size_t appended = 0;
-  while (appended < max) {
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, Next());
-    if (!row.has_value()) break;
-    out->push_back(std::move(*row));
-    ++appended;
-  }
-  return appended;
-}
-
 Result<std::vector<Value>> CollectRows(PhysicalOp* op, ExecContext* ctx) {
   Status status = op->Open(ctx);
   if (!status.ok()) {

@@ -2,7 +2,6 @@
 #define TMDB_EXEC_PHYSICAL_OP_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,9 +18,9 @@ using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
 /// Default batch size used by the executor when draining a plan.
 inline constexpr size_t kExecBatchSize = 1024;
 
-/// Volcano-style pull iterator over complex-object rows.
+/// Volcano-style pull iterator over complex-object rows, a batch at a time.
 ///
-/// Protocol: Open(ctx) → Next()* → Close(). Open fully resets operator
+/// Protocol: Open(ctx) → NextBatch()* → Close(). Open fully resets operator
 /// state, so a plan can be executed repeatedly (the naive nested-loop
 /// strategy re-opens correlated subplans once per outer row).
 class PhysicalOp {
@@ -34,14 +33,10 @@ class PhysicalOp {
 
   /// (Re)initialises the operator. `ctx` must outlive the iteration.
   virtual Status Open(ExecContext* ctx) = 0;
-  /// Returns the next row, or nullopt at end of stream.
-  virtual Result<std::optional<Value>> Next() = 0;
   /// Appends up to `max` rows to `out` and returns the number appended.
-  /// Returns 0 only at end of stream. The default implementation loops over
-  /// Next(); operators with materialised or vectorised state override it to
-  /// amortise the per-row virtual call. Mixing Next() and NextBatch() on the
-  /// same open operator is allowed — both advance the same cursor.
-  virtual Result<size_t> NextBatch(std::vector<Value>* out, size_t max);
+  /// Returns 0 only at end of stream. Any `max` ≥ 1 is allowed, and a
+  /// stream drained at any `max` holds the same rows in the same order.
+  virtual Result<size_t> NextBatch(std::vector<Value>* out, size_t max) = 0;
   /// Releases per-execution state (materialised inputs, hash tables).
   virtual void Close() = 0;
 
@@ -49,10 +44,10 @@ class PhysicalOp {
   //
   // Operators over flat (all-basic-attribute) rows may additionally expose
   // their output as ColumnBatches. After Open(), a consumer checks
-  // columnar_ready(); only then may it call NextColumnBatch(). The three
-  // cursors are one: Next(), NextBatch() and NextColumnBatch() all advance
-  // the same stream, and the row forms of a columnar operator are served
-  // from ColumnStore::RowValue — bit-identical to what the row path emits.
+  // columnar_ready(); only then may it call NextColumnBatch(). The two
+  // cursors are one: NextBatch() and NextColumnBatch() advance the same
+  // stream, and the row form of a columnar operator is served from
+  // ColumnStore::RowValue — bit-identical to what the row path emits.
 
   /// True when, for the current Open(), this operator produces
   /// ColumnBatches. False (the permanent default) means row-only.

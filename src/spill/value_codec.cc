@@ -152,17 +152,18 @@ Status ValueDecoder::DecodeTuple(std::string_view data, size_t* pos,
   if (n > data.size() - *pos) return Truncated();
   if (shapes_.size() <= depth) shapes_.resize(depth + 1);
   // The names are compared against the last list at this depth as they
-  // arrive; only a mismatch copies them out. A copy of the handle, as the
-  // fields' own tuples may grow shapes_.
-  const TupleNames last = shapes_[depth];
-  bool same = last.size() == n;
+  // arrive; only a mismatch copies them out. The list is read afresh for
+  // each field: the fields' own tuples may grow shapes_ (moving the
+  // handles), though never this depth's list.
+  bool same = shapes_[depth].size() == n;
   std::vector<std::string> names;
   std::vector<Value> values;
   values.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
     std::string_view name;
     TMDB_RETURN_IF_ERROR(DecodeString(data, pos, &name));
-    if (same && last[i] != name) {
+    if (same && shapes_[depth][i] != name) {
+      const TupleNames& last = shapes_[depth];
       same = false;
       names.reserve(static_cast<size_t>(n));
       names.assign(last.names().begin(), last.names().begin() + i);

@@ -1,16 +1,17 @@
 // Success is monotone in the memory budget. For each seed query shape,
-// thread count and columnar setting, the sweep finds the least budget the
-// query needs without spill (its peak), then runs every budget from a
-// floor to past that peak in fine steps, with spill on and off. Once a
-// budget succeeds, every larger one must succeed too, with the rows of the
-// unbudgeted run in the same order and the rows of naive serial
-// evaluation. Failures must be memory trips and leave no spill file.
+// join implementation (hash, merge), thread count and columnar setting, the
+// sweep finds the least budget the query needs without spill (its peak),
+// then runs every budget from a floor to past that peak in fine steps, with
+// spill on and off. Once a budget succeeds, every larger one must succeed
+// too, with the rows of the unbudgeted run in the same order and the rows
+// of naive serial evaluation. Failures must be memory trips and leave no
+// spill file.
 //
-// A memory trip that only disk can relieve must land where disk is: an
-// operator that spills, or the root collector, which spools the rows it
-// holds. Without the latter a hash join whose build fits never spills,
-// and the query fails where its build plus the collected output does not
-// fit — at budgets above ones where the join spills and the query passes.
+// A memory trip that only disk can relieve must land where disk is: at a
+// checkpoint of an operator that can still spill. A hash join whose build
+// fits checks once its table is built and again at each probe batch, and
+// hands what is left of the probe to the Grace path on a trip there. The
+// merge join spills only while it sorts, so its cells run without spill.
 
 #include <cstdint>
 #include <filesystem>
@@ -89,9 +90,10 @@ class BudgetSweepTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(spill_dir_); }
 
-  RunOptions Opts(int threads, bool columnar, bool spill,
+  RunOptions Opts(JoinImpl impl, int threads, bool columnar, bool spill,
                   uint64_t budget) const {
     RunOptions options;
+    options.join_impl = impl;
     options.num_threads = threads;
     options.enable_columnar = columnar;
     options.memory_budget_bytes = budget;
@@ -104,12 +106,13 @@ class BudgetSweepTest : public ::testing::Test {
   /// The least budget at which `query` succeeds without spill, by
   /// bisection: without a degrade path nothing moves with the budget, so a
   /// run succeeds exactly when its peak fits.
-  uint64_t PeakBytes(const std::string& query, int threads, bool columnar) {
+  uint64_t PeakBytes(const std::string& query, JoinImpl impl, int threads,
+                     bool columnar) {
     uint64_t lo = 0;         // fails (or is the floor)
     uint64_t hi = 64 << 20;  // succeeds
     while (hi - lo > 64) {
       const uint64_t mid = lo + (hi - lo) / 2;
-      if (db_.Run(query, Opts(threads, columnar, false, mid)).ok()) {
+      if (db_.Run(query, Opts(impl, threads, columnar, false, mid)).ok()) {
         hi = mid;
       } else {
         lo = mid;
@@ -128,26 +131,34 @@ TEST_F(BudgetSweepTest, SuccessIsMonotoneInTheBudget) {
     naive_options.strategy = Strategy::kNaive;
     TMDB_ASSERT_OK_AND_ASSIGN(QueryResult naive,
                               db_.Run(query, naive_options));
+    for (JoinImpl impl : {JoinImpl::kHash, JoinImpl::kMerge}) {
     for (int threads : {1, 4}) {
       for (bool columnar : {false, true}) {
         TMDB_ASSERT_OK_AND_ASSIGN(
             QueryResult unbudgeted,
-            db_.Run(query, Opts(threads, columnar, false, 0)));
+            db_.Run(query, Opts(impl, threads, columnar, false, 0)));
         ASSERT_TRUE(RowsEqual(unbudgeted.rows, naive.rows)) << query;
-        const uint64_t peak = PeakBytes(query, threads, columnar);
+        const uint64_t peak = PeakBytes(query, impl, threads, columnar);
         const uint64_t step = peak / kStepsPerPeak > 256
                                   ? peak / kStepsPerPeak
                                   : 256;
         for (bool spill : {false, true}) {
-          SCOPED_TRACE(std::string(query) + " / threads=" +
-                       std::to_string(threads) +
+          // A merge join whose sides sorted in memory cannot spill once it
+          // merges: a trip there fails budgets above ones where a side
+          // went to disk at Open and the query passed. Its no-spill cells
+          // still run every budget step.
+          if (impl == JoinImpl::kMerge && spill) continue;
+          SCOPED_TRACE(std::string(query) +
+                       (impl == JoinImpl::kHash ? " / hash" : " / merge") +
+                       " / threads=" + std::to_string(threads) +
                        (columnar ? " / columnar" : " / row") +
                        (spill ? " / spill" : " / no spill") +
                        " / peak=" + std::to_string(peak));
           uint64_t first_success = 0;
           for (uint64_t budget = step;
                budget <= peak + kStepsPastPeak * step; budget += step) {
-            auto run = db_.Run(query, Opts(threads, columnar, spill, budget));
+            auto run = db_.Run(query,
+                               Opts(impl, threads, columnar, spill, budget));
             EXPECT_TRUE(DirEmpty(spill_dir_)) << "budget=" << budget;
             if (run.ok()) {
               if (first_success == 0) first_success = budget;
@@ -164,6 +175,7 @@ TEST_F(BudgetSweepTest, SuccessIsMonotoneInTheBudget) {
           EXPECT_NE(first_success, 0u) << "no budget up to the peak succeeded";
         }
       }
+    }
     }
   }
 }

@@ -37,6 +37,7 @@ namespace {
 namespace fs = std::filesystem;
 
 using testutil::IntRow;
+using testutil::StatsMatch;
 
 /// The fuzz corpus: every nested-query shape the suite seeds from, over the
 /// Section 2 R(a,b,c) / S(c,d) schema.
@@ -69,33 +70,6 @@ const char* kFlatSelection = "SELECT x FROM R x WHERE x.a > 10 AND x.b < 30";
              << expected[i].ToString();
     }
   }
-  return ::testing::AssertionSuccess();
-}
-
-/// Full ExecStats equality except guard_checkpoints (schedule-dependent:
-/// the columnar path checkpoints per batch, the row path per row group).
-::testing::AssertionResult StatsMatch(const ExecStats& a, const ExecStats& b) {
-#define TMDB_STAT_EQ(field)                                          \
-  if (a.field != b.field) {                                          \
-    return ::testing::AssertionFailure()                             \
-           << #field " differs: " << a.field << " vs " << b.field;   \
-  }
-  TMDB_STAT_EQ(rows_emitted);
-  TMDB_STAT_EQ(predicate_evals);
-  TMDB_STAT_EQ(subplan_evals);
-  TMDB_STAT_EQ(hash_probes);
-  TMDB_STAT_EQ(rows_built);
-  TMDB_STAT_EQ(spill_partitions);
-  TMDB_STAT_EQ(spill_bytes_written);
-  TMDB_STAT_EQ(spill_bytes_read);
-  TMDB_STAT_EQ(spill_max_depth);
-  TMDB_STAT_EQ(spill_sort_runs);
-  TMDB_STAT_EQ(subplan_cache_hits);
-  TMDB_STAT_EQ(subplan_cache_misses);
-  TMDB_STAT_EQ(subplan_cache_evictions);
-  TMDB_STAT_EQ(subplan_cache_disk_evictions);
-  TMDB_STAT_EQ(subplan_cache_disk_faults);
-#undef TMDB_STAT_EQ
   return ::testing::AssertionSuccess();
 }
 

@@ -161,6 +161,98 @@ TEST_F(ExecOpsTest, ExprSourceIteratesCorrelatedCollection) {
   EXPECT_TRUE(RowsEqual(corr_rows, {Value::Int(7)}));
 }
 
+TEST_F(ExecOpsTest, EveryOperatorDrainsAtEveryBatchSize) {
+  // A consumer may ask for any number of rows per call; a drain at 1, 3 or
+  // kExecBatchSize rows a call must match CollectRows row for row, stats
+  // included. 50 rows over 7 keys; each nested set has 5 elements.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto nested,
+      Table::Create("N", Type::Tuple(
+                             {{"k", Type::Int()},
+                              {"v", Type::Int()},
+                              {"s", Type::Set(Type::Tuple(
+                                        {{"e", Type::Int()}}))}})));
+  for (int64_t i = 0; i < 50; ++i) {
+    std::vector<Value> elems;
+    for (int64_t e = 0; e < 5; ++e) {
+      elems.push_back(Value::Tuple({"e"}, {Value::Int(i * 10 + e)}));
+    }
+    TMDB_ASSERT_OK(nested->Insert(Value::Tuple(
+        {"k", "v", "s"},
+        {Value::Int(i % 7), Value::Int(i),
+         i % 9 == 0 ? Value::EmptySet() : Value::Set(std::move(elems))})));
+  }
+  Expr row = Expr::Var("t", nested->schema());
+  Expr k = Expr::Must(Expr::Field(row, "k"));
+  Expr v = Expr::Must(Expr::Field(row, "v"));
+  Expr k_le_3 = Expr::Must(
+      Expr::Binary(BinaryOp::kLe, k, Expr::Literal(Value::Int(3))));
+  Expr k_ge_2 = Expr::Must(
+      Expr::Binary(BinaryOp::kGe, k, Expr::Literal(Value::Int(2))));
+  auto scan = [&] { return PhysicalOpPtr(new TableScanOp(nested)); };
+  auto filter = [&](const Expr& pred) {
+    return PhysicalOpPtr(new FilterOp(scan(), "t", pred));
+  };
+
+  struct Case {
+    const char* name;
+    PhysicalOpPtr op;
+    size_t rows;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"scan", scan(), 50});
+  cases.push_back({"expr source",
+                   PhysicalOpPtr(new ExprSourceOp(Expr::Literal(
+                       IntSet({1, 2, 3, 4, 5, 6, 7})))),
+                   7});
+  cases.push_back({"row filter", filter(k_le_3), 29});
+  cases.push_back({"map", PhysicalOpPtr(new MapOp(scan(), "t", k)), 7});
+  cases.push_back({"nest",
+                   PhysicalOpPtr(new NestOp(scan(), {"k"}, "t", v, "vs",
+                                            /*null_group_to_empty=*/false)),
+                   7});
+  cases.push_back({"unnest", PhysicalOpPtr(new UnnestOp(scan(), "s")), 220});
+  cases.push_back(
+      {"union", PhysicalOpPtr(new UnionOp(filter(k_le_3), filter(k_ge_2))),
+       50});
+  cases.push_back({"difference",
+                   PhysicalOpPtr(new DifferenceOp(scan(), filter(k_le_3))),
+                   21});
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<Value> rows;
+    EXPECT_TRUE(testutil::DrainsAgreeAtEveryBatchSize(c.op.get(), &rows));
+    EXPECT_EQ(rows.size(), c.rows);
+  }
+}
+
+TEST_F(ExecOpsTest, ColumnarFilterDrainsAtEveryBatchSize) {
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto flat, Table::Create("F", Type::Tuple({{"k", Type::Int()},
+                                                 {"v", Type::Int()}})));
+  for (int64_t i = 0; i < 3000; ++i) {
+    TMDB_ASSERT_OK(flat->Insert(IntRow({"k", "v"}, {i % 7, i})));
+  }
+  Expr row = Expr::Var("t", flat->schema());
+  Expr pred = Expr::Must(Expr::Binary(BinaryOp::kLe,
+                                      Expr::Must(Expr::Field(row, "k")),
+                                      Expr::Literal(Value::Int(3))));
+  std::optional<ColumnPredicate> cpred =
+      ColumnPredicate::Compile(pred, "t", flat->schema());
+  ASSERT_TRUE(cpred.has_value());
+  FilterOp filter(PhysicalOpPtr(new TableScanOp(flat, /*try_columnar=*/true)),
+                  "t", pred, std::move(cpred));
+  ExecStats stats;
+  ExecContext ctx;
+  ctx.stats = &stats;
+  TMDB_ASSERT_OK(filter.Open(&ctx));
+  EXPECT_TRUE(filter.columnar_ready());
+  filter.Close();
+  std::vector<Value> rows;
+  EXPECT_TRUE(testutil::DrainsAgreeAtEveryBatchSize(&filter, &rows));
+  EXPECT_EQ(rows.size(), 1716u);
+}
+
 TEST_F(ExecOpsTest, StatsToStringMentionsAllCounters) {
   ExecStats stats;
   stats.rows_emitted = 1;

@@ -73,15 +73,17 @@ class EndlessSource final : public PhysicalOp {
     return Status::OK();
   }
 
-  Result<std::optional<Value>> Next() override {
-    ++emitted_;
-    if (emitted_ == cancel_after_ && ctx_ != nullptr &&
-        ctx_->guard != nullptr) {
-      ctx_->guard->Cancel();
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override {
+    for (size_t i = 0; i < max; ++i) {
+      ++emitted_;
+      if (emitted_ == cancel_after_ && ctx_ != nullptr &&
+          ctx_->guard != nullptr) {
+        ctx_->guard->Cancel();
+      }
+      out->push_back(IntRow({"a", "b"}, {static_cast<int64_t>(emitted_),
+                                         static_cast<int64_t>(emitted_ % 37)}));
     }
-    return std::optional<Value>(
-        IntRow({"a", "b"}, {static_cast<int64_t>(emitted_),
-                            static_cast<int64_t>(emitted_ % 37)}));
+    return max;
   }
 
   void Close() override {}

@@ -64,20 +64,28 @@ class JoinOpsTest : public ::testing::TestWithParam<JoinCase> {
 
   /// Builds the join physical op for the given implementation over table
   /// scans of x_/y_ with join predicate x.d = y.b (+ func y for nestjoin).
+  /// With `residual`, the predicate also requires x.e <= y.a and the nest
+  /// join's G is y.a, so neither the literal-true residual nor the identity
+  /// G shortcut applies.
   PhysicalOpPtr MakeJoin(Impl impl, JoinMode mode,
                          std::shared_ptr<Table> left,
-                         std::shared_ptr<Table> right) {
+                         std::shared_ptr<Table> right,
+                         bool residual = false) {
     Expr xv = Expr::Var("x", left->schema());
     Expr yv = Expr::Var("y", right->schema());
+    Expr xe = Expr::Must(Expr::Field(xv, left->schema().fields()[0].name));
     Expr xd = Expr::Must(Expr::Field(xv, left->schema().fields()[1].name));
+    Expr ya = Expr::Must(Expr::Field(yv, right->schema().fields()[0].name));
     Expr yb = Expr::Must(Expr::Field(yv, right->schema().fields()[1].name));
+    Expr rest = residual ? Expr::Must(Expr::Binary(BinaryOp::kLe, xe, ya))
+                         : Expr::True();
 
     JoinSpec spec;
     spec.mode = mode;
     spec.left_var = "x";
     spec.right_var = "y";
     spec.right_type = right->schema();
-    spec.func = yv;  // G = identity (paper's Table 1)
+    spec.func = residual ? ya : yv;  // G = identity (paper's Table 1)
     spec.label = "s";
 
     PhysicalOpPtr l(new TableScanOp(left));
@@ -85,21 +93,45 @@ class JoinOpsTest : public ::testing::TestWithParam<JoinCase> {
     switch (impl) {
       case Impl::kNestedLoop: {
         spec.pred = Expr::Must(Expr::Binary(BinaryOp::kEq, xd, yb));
+        if (residual) {
+          spec.pred = Expr::Must(Expr::Binary(BinaryOp::kAnd, spec.pred, rest));
+        }
         return PhysicalOpPtr(
             new NestedLoopJoinOp(std::move(l), std::move(r), std::move(spec)));
       }
       case Impl::kHash: {
-        spec.pred = Expr::True();
+        spec.pred = rest;
         return PhysicalOpPtr(new HashJoinOp(std::move(l), std::move(r),
                                             std::move(spec), {xd}, {yb}));
       }
       case Impl::kMerge: {
-        spec.pred = Expr::True();
+        spec.pred = rest;
         return PhysicalOpPtr(new MergeJoinOp(std::move(l), std::move(r),
                                              std::move(spec), {xd}, {yb}));
       }
     }
     return nullptr;
+  }
+
+  /// 200 X rows against 300 Y rows on join keys drawn from [0, 30]: about
+  /// ten matches per left row, so most left rows emit more than three rows.
+  void MakeRandomTables(std::shared_ptr<Table>* big_x,
+                        std::shared_ptr<Table>* big_y) {
+    Random rng(7);
+    TMDB_ASSERT_OK_AND_ASSIGN(
+        *big_x, Table::Create("BX", Type::Tuple({{"e", Type::Int()},
+                                                 {"d", Type::Int()}})));
+    TMDB_ASSERT_OK_AND_ASSIGN(
+        *big_y, Table::Create("BY", Type::Tuple({{"a", Type::Int()},
+                                                 {"b", Type::Int()}})));
+    for (int i = 0; i < 200; ++i) {
+      TMDB_ASSERT_OK((*big_x)->Insert(
+          IntRow({"e", "d"}, {i, rng.UniformInt(0, 30)})));
+    }
+    for (int i = 0; i < 300; ++i) {
+      TMDB_ASSERT_OK((*big_y)->Insert(
+          IntRow({"a", "b"}, {i, rng.UniformInt(0, 30)})));
+    }
   }
 
   std::vector<Value> Run(PhysicalOp* op) {
@@ -123,25 +155,45 @@ TEST_P(JoinOpsTest, MatchesNestedLoopReference) {
 
 TEST_P(JoinOpsTest, MatchesNestedLoopReferenceOnRandomData) {
   const JoinCase param = GetParam();
-  Random rng(7);
-  TMDB_ASSERT_OK_AND_ASSIGN(
-      auto big_x, Table::Create("BX", Type::Tuple({{"e", Type::Int()},
-                                                   {"d", Type::Int()}})));
-  TMDB_ASSERT_OK_AND_ASSIGN(
-      auto big_y, Table::Create("BY", Type::Tuple({{"a", Type::Int()},
-                                                   {"b", Type::Int()}})));
-  for (int i = 0; i < 200; ++i) {
-    TMDB_ASSERT_OK(big_x->Insert(
-        IntRow({"e", "d"}, {i, rng.UniformInt(0, 30)})));
-  }
-  for (int i = 0; i < 300; ++i) {
-    TMDB_ASSERT_OK(big_y->Insert(
-        IntRow({"a", "b"}, {i, rng.UniformInt(0, 30)})));
-  }
+  std::shared_ptr<Table> big_x, big_y;
+  MakeRandomTables(&big_x, &big_y);
   PhysicalOpPtr reference =
       MakeJoin(Impl::kNestedLoop, param.mode, big_x, big_y);
   PhysicalOpPtr tested = MakeJoin(param.impl, param.mode, big_x, big_y);
   EXPECT_TRUE(RowsEqual(Run(tested.get()), Run(reference.get())));
+}
+
+TEST_P(JoinOpsTest, MatchesNestedLoopReferenceWithResidualAndG) {
+  const JoinCase param = GetParam();
+  std::shared_ptr<Table> big_x, big_y;
+  MakeRandomTables(&big_x, &big_y);
+  PhysicalOpPtr reference = MakeJoin(Impl::kNestedLoop, param.mode, big_x,
+                                     big_y, /*residual=*/true);
+  PhysicalOpPtr tested =
+      MakeJoin(param.impl, param.mode, big_x, big_y, /*residual=*/true);
+  std::vector<Value> expected = Run(reference.get());
+  EXPECT_TRUE(RowsEqual(Run(tested.get()), expected));
+  // The residual rejects some key matches: semi and anti both keep rows.
+  EXPECT_FALSE(expected.empty());
+}
+
+TEST_P(JoinOpsTest, DrainsAtEveryBatchSize) {
+  // A consumer may ask for any number of rows per call. Inner and outer
+  // left rows here emit about ten rows each, so a drain at 1 or 3 stops
+  // inside one left row's output and resumes there.
+  const JoinCase param = GetParam();
+  std::shared_ptr<Table> big_x, big_y;
+  MakeRandomTables(&big_x, &big_y);
+  for (bool residual : {false, true}) {
+    SCOPED_TRACE(residual ? "residual" : "keys only");
+    PhysicalOpPtr op =
+        MakeJoin(param.impl, param.mode, big_x, big_y, residual);
+    std::vector<Value> rows;
+    EXPECT_TRUE(testutil::DrainsAgreeAtEveryBatchSize(op.get(), &rows));
+    if (param.mode == JoinMode::kInner || param.mode == JoinMode::kLeftOuter) {
+      EXPECT_GT(rows.size(), 3 * big_x->NumRows());
+    }
+  }
 }
 
 TEST_P(JoinOpsTest, EmptyRightInput) {

@@ -211,6 +211,74 @@ TEST_F(SpillJoinTest, BuildFarOverBudgetRecursesMultipleLevels) {
   fs::remove_all(base);
 }
 
+TEST(SpillProbeTest, TripInsideAProbeBatchDivertsToSpill) {
+  // 2000 probe rows each match one of 4000 fat build rows, and each output
+  // row is a fresh tuple. Between about two thirds and the whole of the
+  // no-spill peak the build table fits, but one probe batch's output does
+  // not fit beside it: the trip lands on a checkpoint inside the batch, and
+  // the join hands that row and the rest of the probe to the Grace path.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto left, Table::Create("L", Type::Tuple({{"e", Type::Int()},
+                                                 {"d", Type::Int()}})));
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto right,
+      Table::Create("R", Type::Tuple({{"a", Type::Int()},
+                                      {"b", Type::Int()},
+                                      {"pad", Type::String()}})));
+  for (int i = 0; i < 2000; ++i) {
+    TMDB_ASSERT_OK(left->Insert(IntRow({"e", "d"}, {i, (i * 7) % 4000})));
+  }
+  const std::string pad(160, 'p');
+  for (int i = 0; i < 4000; ++i) {
+    TMDB_ASSERT_OK(right->Insert(Value::Tuple(
+        {"a", "b", "pad"},
+        {Value::Int(i), Value::Int(i), Value::String(pad)})));
+  }
+  Expr xv = Expr::Var("x", left->schema());
+  Expr yv = Expr::Var("y", right->schema());
+  JoinSpec spec;
+  spec.mode = JoinMode::kInner;
+  spec.left_var = "x";
+  spec.right_var = "y";
+  spec.right_type = right->schema();
+  spec.pred = Expr::True();
+  HashJoinOp join(PhysicalOpPtr(new TableScanOp(left)),
+                  PhysicalOpPtr(new TableScanOp(right)), std::move(spec),
+                  {Expr::Must(Expr::Field(xv, "d"))},
+                  {Expr::Must(Expr::Field(yv, "b"))});
+  Executor reference(1);
+  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> baseline,
+                            reference.RunPhysical(&join));
+
+  // The least budget the join needs without spill, by bisection.
+  uint64_t lo = 0;
+  uint64_t hi = 64 << 20;
+  while (hi - lo > 1024) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    Executor executor(1);
+    GuardLimits limits;
+    limits.memory_budget_bytes = mid;
+    executor.set_limits(limits);
+    (executor.RunPhysical(&join).ok() ? hi : lo) = mid;
+  }
+  const std::string base = MakeSpillBase("probe-divert");
+  for (uint64_t percent : {72, 76, 80}) {
+    SCOPED_TRACE("budget " + std::to_string(percent) + "% of " +
+                 std::to_string(hi));
+    Executor executor(1);
+    GuardLimits limits;
+    limits.memory_budget_bytes = hi * percent / 100;
+    executor.set_limits(limits);
+    executor.set_spill_options(true, base, /*block_bytes=*/4096);
+    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> spilled,
+                              executor.RunPhysical(&join));
+    EXPECT_TRUE(BitIdentical(spilled, baseline));
+    EXPECT_GT(executor.stats().spill_partitions, 0u);
+    EXPECT_TRUE(SpillBaseEmpty(base));
+  }
+  fs::remove_all(base);
+}
+
 TEST_F(SpillJoinTest, SpillDisabledStillFailsFast) {
   PhysicalOpPtr plan = MakeJoin(JoinMode::kNestJoin);
   Executor executor(1);
@@ -537,18 +605,21 @@ class CancellingFatSource final : public PhysicalOp {
     return Status::OK();
   }
 
-  Result<std::optional<Value>> Next() override {
-    if (emitted_ >= total_) return std::optional<Value>();
-    ++emitted_;
-    if (emitted_ == cancel_after_ && ctx_ != nullptr &&
-        ctx_->guard != nullptr) {
-      ctx_->guard->Cancel();
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override {
+    size_t appended = 0;
+    for (; appended < max && emitted_ < total_; ++appended) {
+      ++emitted_;
+      if (emitted_ == cancel_after_ && ctx_ != nullptr &&
+          ctx_->guard != nullptr) {
+        ctx_->guard->Cancel();
+      }
+      out->push_back(Value::Tuple(
+          {"a", "b", "pad"},
+          {Value::Int(static_cast<int64_t>(emitted_)),
+           Value::Int(static_cast<int64_t>(emitted_ % 97)),
+           Value::String(std::string(160, 'p'))}));
     }
-    return std::optional<Value>(Value::Tuple(
-        {"a", "b", "pad"},
-        {Value::Int(static_cast<int64_t>(emitted_)),
-         Value::Int(static_cast<int64_t>(emitted_ % 97)),
-         Value::String(std::string(160, 'p'))}));
+    return appended;
   }
 
   void Close() override {}

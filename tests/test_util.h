@@ -10,6 +10,7 @@
 #include "base/result.h"
 #include "base/status.h"
 #include "catalog/catalog.h"
+#include "exec/physical_op.h"
 #include "values/value.h"
 
 namespace tmdb {
@@ -89,6 +90,98 @@ inline ::testing::AssertionResult RowsEqual(std::vector<Value> actual,
   return ::testing::AssertionFailure()
          << "row sets differ.\nactual = " << render(actual)
          << "\nexpected = " << render(expected);
+}
+
+/// Full ExecStats equality except guard_checkpoints (schedule-dependent:
+/// the columnar path checkpoints per batch, the row path per row group)
+/// and the strategy and scheduler telemetry.
+inline ::testing::AssertionResult StatsMatch(const ExecStats& a,
+                                             const ExecStats& b) {
+#define TMDB_STAT_EQ(field)                                          \
+  if (a.field != b.field) {                                          \
+    return ::testing::AssertionFailure()                             \
+           << #field " differs: " << a.field << " vs " << b.field;   \
+  }
+  TMDB_STAT_EQ(rows_emitted);
+  TMDB_STAT_EQ(predicate_evals);
+  TMDB_STAT_EQ(subplan_evals);
+  TMDB_STAT_EQ(hash_probes);
+  TMDB_STAT_EQ(rows_built);
+  TMDB_STAT_EQ(spill_partitions);
+  TMDB_STAT_EQ(spill_bytes_written);
+  TMDB_STAT_EQ(spill_bytes_read);
+  TMDB_STAT_EQ(spill_max_depth);
+  TMDB_STAT_EQ(spill_sort_runs);
+  TMDB_STAT_EQ(subplan_cache_hits);
+  TMDB_STAT_EQ(subplan_cache_misses);
+  TMDB_STAT_EQ(subplan_cache_evictions);
+  TMDB_STAT_EQ(subplan_cache_disk_evictions);
+  TMDB_STAT_EQ(subplan_cache_disk_faults);
+#undef TMDB_STAT_EQ
+  return ::testing::AssertionSuccess();
+}
+
+/// Opens `op`, pulls it through NextBatch at up to `max` rows a call until
+/// it returns 0, and closes it.
+inline Result<std::vector<Value>> DrainAt(PhysicalOp* op, ExecContext* ctx,
+                                          size_t max) {
+  Status status = op->Open(ctx);
+  std::vector<Value> rows;
+  while (status.ok()) {
+    const size_t before = rows.size();
+    Result<size_t> got = op->NextBatch(&rows, max);
+    if (!got.ok()) {
+      status = got.status();
+    } else if (*got > max || rows.size() - before != *got) {
+      status = Status::Internal("NextBatch returned a count it did not append");
+    } else if (*got == 0) {
+      break;
+    }
+  }
+  op->Close();
+  if (!status.ok()) return status;
+  return rows;
+}
+
+/// Drains `op` at max 1, 3 and kExecBatchSize, each from a fresh Open, and
+/// checks every drain against CollectRows: the same rows in the same order
+/// and StatsMatch stats. `rows`, when given, receives the collected rows.
+inline ::testing::AssertionResult DrainsAgreeAtEveryBatchSize(
+    PhysicalOp* op, std::vector<Value>* rows = nullptr) {
+  ExecStats full_stats;
+  ExecContext full_ctx;
+  full_ctx.stats = &full_stats;
+  Result<std::vector<Value>> full = CollectRows(op, &full_ctx);
+  if (!full.ok()) {
+    return ::testing::AssertionFailure() << full.status().ToString();
+  }
+  for (size_t max : {size_t{1}, size_t{3}, kExecBatchSize}) {
+    ExecStats stats;
+    ExecContext ctx;
+    ctx.stats = &stats;
+    Result<std::vector<Value>> drained = DrainAt(op, &ctx, max);
+    if (!drained.ok()) {
+      return ::testing::AssertionFailure()
+             << "max=" << max << ": " << drained.status().ToString();
+    }
+    if (drained->size() != full->size()) {
+      return ::testing::AssertionFailure()
+             << "max=" << max << ": " << drained->size() << " rows, not "
+             << full->size();
+    }
+    for (size_t i = 0; i < full->size(); ++i) {
+      if (!(*drained)[i].Equals((*full)[i])) {
+        return ::testing::AssertionFailure()
+               << "max=" << max << ": row " << i << " is "
+               << (*drained)[i].ToString() << ", not "
+               << (*full)[i].ToString();
+      }
+    }
+    ::testing::AssertionResult same = StatsMatch(stats, full_stats);
+    if (!same) return same << " (max=" << max << ")";
+  }
+  if (rows != nullptr) *rows = std::move(*full);
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace testutil
