@@ -77,6 +77,12 @@ for cxx in build_dir.glob("CMakeFiles/*/CMakeCXXCompiler.cmake"):
     build["compiler_version"] = cmake_set(text, "CMAKE_CXX_COMPILER_VERSION")
 
 merged = {"context": None, "suites": {}}
+# A committed file may keep, under "parent", the run of the commit before
+# the change it was recorded for; a rerun rewrites only the fresh side.
+if dest.exists():
+    parent = json.loads(dest.read_text()).get("parent")
+    if parent is not None:
+        merged["parent"] = parent
 for path in sorted(out_dir.glob("*.json")):
     data = json.loads(path.read_text())
     if merged["context"] is None:
@@ -91,7 +97,10 @@ merge "$OUT_DIR" "$REPO_ROOT/BENCH_nestjoin.json"
 
 # Spill suite in its own JSON: in-memory baseline vs budget-forced Grace
 # partitioning (192 KiB = deep recursion, 512 KiB = shallow), five
-# interleaved repetitions.
+# interleaved repetitions. The committed file also keeps, under "parent",
+# the run of the commit before the hash join and ν moved onto one Grace
+# module (src/exec/spill_util.cc); a rerun here rewrites only the fresh
+# side.
 SPILL_OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR"' EXIT
 (
@@ -157,8 +166,7 @@ merge "$SCHED_OUT_DIR" "$REPO_ROOT/BENCH_sched.json"
 # decode and the drop of the decoded rows for three response shapes (int
 # pairs, int triples, sets of short strings), five interleaved
 # repetitions. The committed file also keeps, under "parent", the run of
-# the commit before scalars moved into the Value handle; a rerun here
-# rewrites only the fresh side.
+# the commit before scalars moved into the Value handle.
 CODEC_OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR" "$SUBPLAN_OUT_DIR" "$COLUMNAR_OUT_DIR" "$STRATEGY_OUT_DIR" "$SCHED_OUT_DIR" "$CODEC_OUT_DIR"' EXIT
 (

@@ -12,6 +12,7 @@
 #include "exec/join_table.h"
 #include "exec/physical_op.h"
 #include "exec/query_guard.h"
+#include "exec/spill_util.h"
 #include "values/value_ops.h"
 
 namespace tmdb {
@@ -54,15 +55,17 @@ namespace tmdb {
 /// spill, a trip while the parallel probe materialises retries with the
 /// serial probe, and a trip while the build side materialises or indexes,
 /// or in the serial probe, degrades to Grace-style partitioned execution
-/// instead of failing (hash_join_spill.cc): the build rows and the probe
-/// rows not yet joined partition to disk on the composite
-/// key's hash, partitions are processed one at a time into a JoinTable
-/// each (recursing on partitions that still exceed the budget, to a
-/// bounded depth), and spilled bytes are refunded to the guard. Rows that
-/// share a key always land in the same partition, so every join mode —
-/// nest join grouping and dangling-row semantics included — behaves
-/// exactly as in memory, and a per-left-row tag restores the original
-/// output order bit for bit.
+/// instead of failing (hash_join_spill.cc, on the Grace module of
+/// spill_util.h that ν shares): the build rows and the probe rows not yet
+/// joined partition to disk as `tag · key · payload` records routed on the
+/// composite key's hash, partitions are processed one at a time into a
+/// JoinTable each (recursing on partitions that still exceed the budget;
+/// one still over it at kMaxSpillDepth fails with kResourceExhausted), and
+/// spilled bytes are refunded to the guard. Rows that share a key always
+/// land in the same partition, so every join mode — nest join grouping and
+/// dangling-row semantics included — behaves exactly as in memory, and the
+/// probe records' tags (left-row indexes) restore the original output order
+/// bit for bit.
 class HashJoinOp final : public PhysicalOp {
  public:
   /// `left_keys[i] = right_keys[i]` are the extracted equi-conjuncts;
@@ -139,12 +142,6 @@ class HashJoinOp final : public PhysicalOp {
 
   // --- Grace spill path (hash_join_spill.cc) ---
 
-  /// One partition's pair of files on disk.
-  struct SpillPart {
-    std::string build_path;
-    std::string probe_path;
-  };
-
   /// Diverts the build to disk: partitions the salvaged (and any remaining)
   /// build rows plus the probe side, then processes partitions one at a
   /// time into serve_. `right_open` says the build input still has rows;
@@ -153,17 +150,11 @@ class HashJoinOp final : public PhysicalOp {
   Status SpillBuildAndProbe(ExecContext* ctx, std::vector<Value> build_rows,
                             bool right_open, bool left_open = false,
                             std::vector<Value> pending_left = {});
-  /// Loads one partition's build file and probes its probe file, appending
-  /// (left-row tag, output row) pairs. Recurses via Repartition when the
-  /// partition alone exceeds the budget.
-  Status ProcessSpillPartition(ExecContext* ctx, const SpillPart& part,
-                               int depth,
-                               std::vector<std::pair<uint64_t, Value>>* out);
-  /// Splits both files of `part` into kSpillFanout sub-partitions at
-  /// depth+1 without decoding rows (keys only), then recurses on each.
-  Status RepartitionAndRecurse(ExecContext* ctx, const SpillPart& part,
-                               int depth,
-                               std::vector<std::pair<uint64_t, Value>>* out);
+  /// Loads partition `part`'s build file into a table and probes its probe
+  /// file, appending (left-row tag, output row) pairs; `*probing` says
+  /// which half a failure came from.
+  Status JoinPartition(ExecContext* ctx, const GracePart& part,
+                       bool* probing, TaggedRows* out);
 
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;

@@ -8,6 +8,7 @@
 #include "exec/join_table.h"
 #include "exec/physical_op.h"
 #include "exec/query_guard.h"
+#include "exec/spill_util.h"
 #include "expr/expr.h"
 #include "values/value_ops.h"
 
@@ -33,13 +34,17 @@ namespace tmdb {
 /// runs take the same path and give the same rows and stats.
 ///
 /// Memory-bounded execution: a spill-eligible memory trip during the drain
-/// or the grouping degrades to Grace-style partitioned grouping on disk —
-/// rows are hash-partitioned by group key into spill files tagged with
-/// their input row index, each partition is grouped in read order (= input
-/// order) into a JoinTable of its own, a partition whose group state still
+/// or the grouping degrades to Grace-style partitioned grouping on disk,
+/// through the Grace module of spill_util.h that the hash join shares —
+/// rows are hash-partitioned by group key into spill files of
+/// `tag · key · payload` records (tag the input row index, payload the
+/// element image), each partition is grouped in read order (= input order)
+/// into a JoinTable of its own, a partition whose group state still
 /// overflows repartitions recursively, and the collected group tuples are
-/// stable-sorted by first-occurrence tag, reproducing the in-memory group
-/// order bit for bit.
+/// put in first-occurrence tag order, reproducing the in-memory group order
+/// bit for bit. A partition that cannot split (one key, or kMaxSpillDepth
+/// reached) is grouped in a forced pass with the memory comparison
+/// suspended, since its groups are output the in-memory path keeps too.
 class NestOp final : public PhysicalOp {
  public:
   NestOp(PhysicalOpPtr child, std::vector<std::string> group_attrs,
@@ -72,10 +77,11 @@ class NestOp final : public PhysicalOp {
   /// Spill path (nest_op_spill.cc): partitions `rows` plus the rest of the
   /// child (when !drained) to disk and groups partition by partition.
   Status SpillGroup(std::vector<Value> rows, bool drained);
-  Status ProcessNestPartition(const std::string& path, int depth,
-                              std::vector<std::pair<uint64_t, Value>>* out);
-  Status RepartitionNest(const std::string& path, int depth,
-                         std::vector<std::pair<uint64_t, Value>>* out);
+  /// Groups one partition file into (first-occurrence tag, group tuple)
+  /// pairs, with the memory comparison suspended when `forced`; sets
+  /// `*keys_seen` to the group keys it reached.
+  Status GroupPartition(const std::string& path, bool forced,
+                        size_t* keys_seen, TaggedRows* out);
 
   /// True for the values ν* discards: NULL itself, or a tuple whose
   /// attributes are all NULL (the image of an outerjoin-padded row).

@@ -1,21 +1,20 @@
 #ifndef TMDB_EXEC_SPILL_UTIL_H_
 #define TMDB_EXEC_SPILL_UTIL_H_
 
-#include <memory>
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "base/fault_injector.h"
 #include "base/status.h"
-#include "base/string_util.h"
 #include "exec/exec_context.h"
 #include "exec/physical_op.h"
 #include "exec/query_guard.h"
 #include "spill/partition.h"
-#include "spill/spill_file.h"
 #include "spill/spill_manager.h"
+#include "values/value.h"
 
 namespace tmdb {
 
@@ -33,43 +32,80 @@ inline bool SpillEligibleTrip(const ExecContext* ctx, const Status& s) {
          ctx->guard->last_trip_was_memory();
 }
 
-/// The fault injector spill I/O must consult, reached through the guard.
-inline FaultInjector* SpillInjectorOf(const ExecContext* ctx) {
-  return ctx->guard == nullptr ? nullptr : ctx->guard->injector();
-}
+// --- Grace partitioning: the disk path of the hash join and of ν/ν* ---
+//
+// An operator's input goes to kSpillFanout partition files, each row routed
+// on its key's hash, so rows with equal keys share a partition. Partitions
+// are processed one at a time, and one that still overflows the budget is
+// split into kSpillFanout more, one level down. Every record has one
+// layout, known only here:
+//
+//   tag · key · payload
+//
+// The tag is a varint, the row's index in the input it was spilled from;
+// key and payload are EncodeValue images: the key routes the record, the
+// payload is what the operator keeps (a join row, ν's element image).
+// Splitting reads only tag and key and moves the record's bytes verbatim,
+// so a partition's read order is its input order at every level, and the
+// output is put back in tag order at the end.
 
-/// One spill writer per partition, on kSpillFanout new files named
-/// `<name>-p<i>`.
-using PartitionWriters = std::vector<std::unique_ptr<SpillWriter>>;
-inline Result<PartitionWriters> OpenPartitionWriters(const ExecContext* ctx,
-                                                     const std::string& name) {
-  PartitionWriters writers(kSpillFanout);
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    TMDB_ASSIGN_OR_RETURN(std::string path,
-                          ctx->spill->NewFilePath(StrCat(name, "-p", p)));
-    writers[p] = std::make_unique<SpillWriter>(
-        std::move(path), ctx->spill->block_bytes(), SpillInjectorOf(ctx));
-    TMDB_RETURN_IF_ERROR(writers[p]->Open());
-  }
-  return writers;
-}
+/// Sets the record fields of a row it consumes.
+using GraceFieldsFn =
+    std::function<Status(Value row, Value* key, Value* payload)>;
 
-/// Appends `record`, checkpointing the guard when a block was flushed.
-inline Status AppendRecord(const ExecContext* ctx, SpillWriter* writer,
-                           std::string_view record) {
-  TMDB_RETURN_IF_ERROR(writer->Append(record));
-  return writer->TookBlockBoundary() ? CheckGuard(ctx) : Status::OK();
-}
+/// Spills an operator input to the level-0 partition files `name`: first
+/// the salvaged `rows`, then, when `child_open`, the rest of `child`, each
+/// row tagged with its index in that sequence and freed once written.
+/// Closes `child` and returns the files' paths. `count_built` counts the
+/// child's rows in rows_built, as a build input's drain does.
+Result<std::vector<std::string>> SpillInput(ExecContext* ctx,
+                                            std::string_view name,
+                                            std::vector<Value> rows,
+                                            PhysicalOp* child, bool child_open,
+                                            bool count_built,
+                                            const GraceFieldsFn& fields);
 
-/// Finishes every writer, counting its bytes in spill_bytes_written.
-inline Status FinishPartitionWriters(const ExecContext* ctx,
-                                     const PartitionWriters& writers) {
-  for (const std::unique_ptr<SpillWriter>& writer : writers) {
-    TMDB_RETURN_IF_ERROR(writer->Finish());
-    ctx->stats->spill_bytes_written += writer->stats().bytes;
-  }
-  return Status::OK();
-}
+/// Calls `fn(tag, key, payload)` for each record of `path` in order,
+/// checkpointing the guard at every block boundary and every
+/// kExecBatchSize records. Counts the bytes read and closes the file on
+/// every path.
+Status ForEachRecord(
+    ExecContext* ctx, const std::string& path,
+    const std::function<Status(uint64_t tag, Value key, Value payload)>& fn);
+
+/// Output rows, each with the tag of the input row it came from.
+using TaggedRows = std::vector<std::pair<uint64_t, Value>>;
+
+/// One partition: a file per side of the spilled input.
+using GracePart = std::vector<std::string>;
+
+/// An operator's decisions on its partitions.
+struct GracePolicy {
+  /// The file name of each side ("hj-build", "hj-probe"; "nest").
+  std::vector<std::string_view> sides;
+  /// Processes one partition, appending to `out` and charging each pair to
+  /// the reservation given to RunGrace.
+  std::function<Status(const GracePart& part, TaggedRows* out)> process;
+  /// Whether the partition whose process just tripped can still split.
+  std::function<bool()> splittable;
+  /// What that trip comes to when the partition cannot split, or sits at
+  /// kMaxSpillDepth.
+  std::function<Status(const Status& trip, const GracePart& part,
+                       TaggedRows* out)>
+      at_bound;
+};
+
+/// Processes the level-0 partitions (`files[side][p]` is partition p's file
+/// of that side) one at a time and appends their output to `output` in tag
+/// order. A spill-eligible memory trip in `process` drops the partition's
+/// partial output, refunding `out_res`, and splits every side one level
+/// down while the depth bound and `splittable` allow; otherwise `at_bound`
+/// decides. A processed partition's files are removed at once, so peak disk
+/// stays one recursion path, not the whole input.
+Status RunGrace(ExecContext* ctx, const GracePolicy& policy,
+                GuardReservation* out_res,
+                const std::vector<std::vector<std::string>>& files,
+                std::vector<Value>* output);
 
 }  // namespace tmdb
 

@@ -282,9 +282,12 @@ class QueryServer::Session {
         // The socket reads as ready forever once it hung up: wait on the
         // completion fd alone.
         if (wake_.Wait(timeout_ms)) wake_.Drain();
+        server_->session_wakeups_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      switch (sock_.Poll(wake_, timeout_ms)) {
+      const Socket::PollState state = sock_.Poll(wake_, timeout_ms);
+      server_->session_wakeups_.fetch_add(1, std::memory_order_relaxed);
+      switch (state) {
         case Socket::PollState::kWoken:
           wake_.Drain();
           break;
@@ -513,6 +516,7 @@ ServerStatsSnapshot QueryServer::stats() const {
       queries_disconnected_.load(std::memory_order_relaxed);
   snapshot.cancel_frames = cancel_frames_.load(std::memory_order_relaxed);
   snapshot.wire_errors = wire_errors_.load(std::memory_order_relaxed);
+  snapshot.session_wakeups = session_wakeups_.load(std::memory_order_relaxed);
   return snapshot;
 }
 

@@ -47,6 +47,10 @@ struct ServerStatsSnapshot {
   uint64_t queries_disconnected = 0;
   uint64_t cancel_frames = 0;
   uint64_t wire_errors = 0;
+  /// Times a session thread woke while its statement ran: once when the
+  /// statement returns (twice if the last one's notification was still
+  /// pending), plus a wake per re-issue of a cancel the statement owes.
+  uint64_t session_wakeups = 0;
 };
 
 /// TCP front end for one Database: accepts connections, speaks the framed
@@ -132,6 +136,7 @@ class QueryServer {
   std::atomic<uint64_t> queries_disconnected_{0};
   std::atomic<uint64_t> cancel_frames_{0};
   std::atomic<uint64_t> wire_errors_{0};
+  std::atomic<uint64_t> session_wakeups_{0};
 };
 
 }  // namespace tmdb

@@ -1,6 +1,5 @@
 #include "optimizer/planner.h"
 
-#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <utility>
@@ -174,20 +173,14 @@ Result<PhysicalOpPtr> Planner::Plan(const LogicalOpPtr& logical) const {
       if (split.left_keys.empty()) {
         impl = JoinImpl::kNestedLoop;  // only general implementation
       } else if (impl == JoinImpl::kAuto) {
+        // Sort-merge would cost l·log2(l+2) + r·log2(r+2) ≥ l + r, never
+        // below the hash join's, so auto weighs hash against nested loop;
+        // kMerge is reached only when asked for.
         const double l = EstimateCardinality(*logical->left());
         const double r = EstimateCardinality(*logical->right());
-        const double nl_cost = l * r;
         const double hash_cost =
             (l + r) / std::max(1, options_.num_threads);
-        const double merge_cost =
-            l * std::log2(l + 2.0) + r * std::log2(r + 2.0);
-        if (hash_cost <= merge_cost && hash_cost <= nl_cost) {
-          impl = JoinImpl::kHash;
-        } else if (merge_cost <= nl_cost) {
-          impl = JoinImpl::kMerge;
-        } else {
-          impl = JoinImpl::kNestedLoop;
-        }
+        impl = hash_cost <= l * r ? JoinImpl::kHash : JoinImpl::kNestedLoop;
       }
 
       switch (impl) {

@@ -56,8 +56,9 @@ double EstimateCardinality(const LogicalOp& op);
 /// For join-family operators the planner extracts equi-key conjuncts
 /// (f(x) = g(y) with each side referencing only one operand variable) and
 /// picks an implementation:
-///   - keys found + kAuto: hash join vs sort-merge vs nested loop by a
-///     simple cost formula (hash ≈ |L|+|R|, merge ≈ sort cost, NL ≈ |L|·|R|);
+///   - keys found + kAuto: hash join vs nested loop by a simple cost
+///     formula (hash ≈ |L|+|R|, NL ≈ |L|·|R|); sort-merge costs at least
+///     the hash join's |L|+|R|, so it is used only when forced;
 ///   - no keys: nested loop (the only general implementation);
 ///   - forced via options: that implementation (falls back to nested loop
 ///     when keys are required but absent).

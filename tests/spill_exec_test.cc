@@ -28,6 +28,7 @@
 #include "exec/nest_op.h"
 #include "exec/query_guard.h"
 #include "sched/scheduler.h"
+#include "spill/partition.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -209,6 +210,68 @@ TEST_F(SpillJoinTest, BuildFarOverBudgetRecursesMultipleLevels) {
       << executor.stats().ToString();
   EXPECT_TRUE(SpillBaseEmpty(base));
   fs::remove_all(base);
+}
+
+TEST(SpillDepthBoundTest, HotBuildKeyFailsAtTheRecursionLimit) {
+  // Every build row shares one key, so no rehash can split the partition:
+  // the Grace path recurses to the depth bound and fails there with a typed
+  // error, leaving no spill file and no reserved byte behind.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto left, Table::Create("L", Type::Tuple({{"e", Type::Int()},
+                                                 {"d", Type::Int()}})));
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto right,
+      Table::Create("R", Type::Tuple({{"a", Type::Int()},
+                                      {"b", Type::Int()},
+                                      {"pad", Type::String()}})));
+  for (int i = 0; i < 20; ++i) {
+    TMDB_ASSERT_OK(left->Insert(IntRow({"e", "d"}, {i, i % 2 == 0 ? 7 : i})));
+  }
+  const std::string pad(160, 'p');
+  for (int i = 0; i < 12000; ++i) {
+    TMDB_ASSERT_OK(right->Insert(Value::Tuple(
+        {"a", "b", "pad"},
+        {Value::Int(i), Value::Int(7), Value::String(pad)})));
+  }
+  Expr xv = Expr::Var("x", left->schema());
+  Expr yv = Expr::Var("y", right->schema());
+  JoinSpec spec;
+  spec.mode = JoinMode::kNestJoin;
+  spec.left_var = "x";
+  spec.right_var = "y";
+  spec.right_type = right->schema();
+  spec.pred = Expr::True();
+  // Each output set is {7}: the build side alone exceeds the budget.
+  spec.func = Expr::Must(Expr::Field(yv, "b"));
+  spec.label = "s";
+  HashJoinOp join(PhysicalOpPtr(new TableScanOp(left)),
+                  PhysicalOpPtr(new TableScanOp(right)), std::move(spec),
+                  {Expr::Must(Expr::Field(xv, "d"))},
+                  {Expr::Must(Expr::Field(yv, "b"))});
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string base =
+        MakeSpillBase("hot-build-key-t" + std::to_string(threads));
+    Executor executor(threads);
+    GuardLimits limits;
+    limits.memory_budget_bytes = 128 << 10;
+    executor.set_limits(limits);
+    executor.set_spill_options(true, base, /*block_bytes=*/4096);
+    executor.mutable_stats()->Reset();
+    auto run = executor.RunPhysical(&join);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted)
+        << run.status().ToString();
+    EXPECT_NE(run.status().message().find("spill recursion limit"),
+              std::string::npos)
+        << run.status().ToString();
+    EXPECT_EQ(executor.stats().spill_max_depth,
+              static_cast<uint64_t>(kMaxSpillDepth) + 1);
+    EXPECT_TRUE(SpillBaseEmpty(base));
+    EXPECT_EQ(executor.guard()->materialized_bytes(), 0);
+    fs::remove_all(base);
+  }
 }
 
 TEST(SpillProbeTest, TripInsideAProbeBatchDivertsToSpill) {
@@ -482,6 +545,49 @@ TEST_F(SpillNestTest, NuStarNullPaddingDroppedAcrossSpill) {
         << "budget never engaged the ν* spill path: "
         << executor.stats().ToString();
     EXPECT_TRUE(SpillBaseEmpty(base));
+    fs::remove_all(base);
+  }
+}
+
+TEST(SpillNestDepthBoundTest, HotGroupKeyTakesTheForcedPass) {
+  // One group key holds every row, and its chained elements alone exceed
+  // the budget (the set they dedupe to stays small). No rehash can split
+  // it, so ν groups it in a forced pass with the memory comparison
+  // suspended instead of recursing or failing.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto table, Table::Create("T", Type::Tuple({{"a", Type::Int()},
+                                                  {"b", Type::Int()},
+                                                  {"c", Type::Int()}})));
+  for (int i = 0; i < 12000; ++i) {
+    TMDB_ASSERT_OK(table->Insert(IntRow({"a", "b", "c"}, {i, 3, i % 5})));
+  }
+  Expr j = Expr::Var("j", table->schema());
+  PhysicalOpPtr plan(new NestOp(PhysicalOpPtr(new TableScanOp(table)), {"b"},
+                                "j", Expr::Must(Expr::Field(j, "c")), "s",
+                                /*null_group_to_empty=*/false));
+  Executor reference(1);
+  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> baseline,
+                            reference.RunPhysical(plan.get()));
+  ASSERT_EQ(baseline.size(), 1u);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string base =
+        MakeSpillBase("hot-group-key-t" + std::to_string(threads));
+    Executor executor(threads);
+    GuardLimits limits;
+    limits.memory_budget_bytes = 128 << 10;
+    executor.set_limits(limits);
+    executor.set_spill_options(true, base, /*block_bytes=*/4096);
+    executor.mutable_stats()->Reset();
+    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> spilled,
+                              executor.RunPhysical(plan.get()));
+    EXPECT_TRUE(BitIdentical(spilled, baseline));
+    EXPECT_EQ(executor.stats().spill_partitions, kSpillFanout)
+        << "one key must not repartition: " << executor.stats().ToString();
+    EXPECT_EQ(executor.stats().spill_max_depth, 1u);
+    EXPECT_TRUE(SpillBaseEmpty(base));
+    EXPECT_EQ(executor.guard()->materialized_bytes(), 0);
     fs::remove_all(base);
   }
 }

@@ -1,4 +1,4 @@
-// Plan validator + dot renderer tests, and a sweep asserting that every
+// Plan validator tests, and a sweep asserting that every
 // plan the engine produces — naive and rewritten, across the whole query
 // catalog — passes validation.
 
@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "algebra/plan_dot.h"
 #include "core/database.h"
 #include "tests/test_util.h"
 
@@ -101,28 +100,6 @@ TEST_F(ValidateTest, AcceptsNarrowedVariableTypes) {
   TMDB_ASSERT_OK_AND_ASSIGN(LogicalOpPtr plan,
                             LogicalOp::Select(scan, "y", narrow));
   TMDB_EXPECT_OK(ValidatePlan(*plan));
-}
-
-TEST_F(ValidateTest, DotRenderingContainsOperatorsAndSubqueries) {
-  TMDB_ASSERT_OK_AND_ASSIGN(
-      LogicalOpPtr naive,
-      db_.Plan("SELECT x.c FROM X x WHERE x.c IN "
-               "(SELECT y.a FROM Y y WHERE x.b = y.b)",
-               Strategy::kNaive));
-  const std::string dot = PlanToDot(*naive);
-  EXPECT_NE(dot.find("digraph plan"), std::string::npos);
-  EXPECT_NE(dot.find("Scan(X)"), std::string::npos);
-  EXPECT_NE(dot.find("correlated subquery"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
-
-  TMDB_ASSERT_OK_AND_ASSIGN(
-      LogicalOpPtr rewritten,
-      db_.Plan("SELECT x.c FROM X x WHERE x.c IN "
-               "(SELECT y.a FROM Y y WHERE x.b = y.b)",
-               Strategy::kNestJoin));
-  const std::string flat_dot = PlanToDot(*rewritten);
-  EXPECT_NE(flat_dot.find("SemiJoin"), std::string::npos);
-  EXPECT_EQ(flat_dot.find("correlated subquery"), std::string::npos);
 }
 
 }  // namespace
