@@ -46,6 +46,10 @@ cmake --build build-tsan -j "$(nproc)"
 ./build-tsan/tests/fault_injection_test
 ./build-tsan/tests/spill_codec_test
 ./build-tsan/tests/spill_exec_test
+# budget_sweep_test's threads-4 spill cells are the suite that trips a
+# parallel probe round and takes the hash join's degrade ladder (drop the
+# round, probe on in one-batch rounds, then Grace) between morsel workers.
+./build-tsan/tests/budget_sweep_test
 ./build-tsan/tests/subplan_cache_test
 ./build-tsan/tests/columnar_exec_test
 ./build-tsan/tests/differential_exec_test

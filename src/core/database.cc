@@ -39,8 +39,6 @@ Planner MakePlanner(const RunOptions& options) {
 CostModelOptions MakeCostModelOptions(const RunOptions& options,
                                       QueryGuard* guard) {
   CostModelOptions cm;
-  cm.sample_rows = options.cost_sample_rows;
-  cm.sample_seed = options.cost_sample_seed;
   cm.memo_enabled = options.subplan_cache_bytes > 0;
   cm.guard = guard;
   return cm;
@@ -155,8 +153,6 @@ Result<QueryResult> Database::RunAuto(const LogicalOpPtr& naive,
   if (can_switch) {
     AdaptiveConfig config;
     config.predicted_hit_ratio = decision->est_hit_ratio;
-    config.switch_threshold = options.adaptive_switch_threshold;
-    config.probe_acquires = options.adaptive_probe_acquires;
     executor->ArmAdaptive(config);
   }
   uint64_t switches = 0;

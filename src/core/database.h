@@ -93,20 +93,6 @@ struct RunOptions {
   /// diagnosis (REPL `\columnar`).
   bool enable_columnar = true;
 
-  // Cost model + adaptive switch (strategy = auto only).
-  /// Reservoir size for per-table sampling; estimates are deterministic for
-  /// a fixed (rows, seed, data) triple.
-  size_t cost_sample_rows = 256;
-  uint64_t cost_sample_seed = 0x5EEDC0DE;
-  /// When the cost model picks memoized naive, the run observes the actual
-  /// subplan-cache hit ratio and re-plans with the best unnested strategy
-  /// once `predicted − observed ≥ adaptive_switch_threshold` (evaluated
-  /// every `adaptive_probe_acquires` cache probes). At most one switch per
-  /// query; attempt 2 runs against the *remaining* timeout / max_rows
-  /// budgets and the work counters accumulate across both attempts.
-  double adaptive_switch_threshold = 0.4;
-  uint64_t adaptive_probe_acquires = 64;
-
   /// Deterministic fault injector consulted at every guard checkpoint and
   /// every spill I/O (tests only). Not owned; must outlive the call.
   FaultInjector* fault_injector = nullptr;

@@ -47,45 +47,10 @@ bool HashJoinOp::GroupsPerKey(const JoinSpec& spec) {
 
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  kernel_.ClearNames();
-  probe_batch_.clear();
-  probe_pairs_ = 0;
-  serve_.Clear();
-  materialized_ = false;
-  spilled_ = false;
-  build_res_.Reset(ctx->guard);
-  table_.Reset(ctx->guard);
-
+  Reset(ctx->guard);
   TMDB_RETURN_IF_ERROR(BuildTable(ctx));
-  if (spilled_) {
-    // The spill path consumed both inputs and filled serve_ already.
-    return Status::OK();
-  }
-  TMDB_RETURN_IF_ERROR(left_->Open(ctx));
-
-  // Morsel-parallel probe: subplan-bearing probe expressions are handled
-  // too — each worker gets its own forked subplan evaluator, all sharing
-  // the run's memo cache.
-  if (ctx->parallel_enabled()) {
-    const uint64_t held_before = build_res_.held();
-    Status probed = ParallelProbe();
-    if (probed.ok()) {
-      materialized_ = true;
-      DropTable();
-    } else if (SpillEligibleTrip(ctx, probed)) {
-      // The build table fits but materialising the probe side blew the
-      // budget. Fall back to the serial probe, which holds one left batch
-      // at a time: refund the probe scratch (its values freed on unwind)
-      // and restart the left input.
-      build_res_.Shrink(build_res_.held() - held_before);
-      serve_.Clear();
-      left_->Close();
-      TMDB_RETURN_IF_ERROR(left_->Open(ctx));
-    } else {
-      return probed;
-    }
-  }
-  return Status::OK();
+  // The spill path consumed both inputs and filled serve_ already.
+  return materialized_ ? Status::OK() : left_->Open(ctx);
 }
 
 Status HashJoinOp::BuildTable(ExecContext* ctx) {
@@ -189,103 +154,132 @@ Result<uint32_t> HashJoinOp::ProbeSlot(const JoinTable& table,
   return slot;
 }
 
-Status HashJoinOp::ProcessLeftRow(const Value& left_row, ExecContext* ctx,
-                                  uint64_t* pairs,
-                                  std::vector<Value>* out) const {
-  TMDB_ASSIGN_OR_RETURN(uint32_t slot,
-                        ProbeSlot(table_, left_row, nullptr, ctx));
-  return ProcessMatch(table_, left_row, slot, ctx, pairs, out);
+Result<bool> HashJoinOp::Refill() {
+  while (serve_.rows()->empty() && !materialized_ && !probe_.ended) {
+    // serve_ ran dry, so the last round's output is served: its charges go.
+    round_res_.Release();
+    if (Status s = CheckGuard(ctx_); !s.ok()) {
+      TMDB_RETURN_IF_ERROR(DivertProbe(s));
+      break;
+    }
+    TMDB_RETURN_IF_ERROR(ProbeRound());
+    if (probe_.ended) {
+      // Free the table and refund its build rows now, not at Close: what the
+      // plan builds above the join gets the budget the join no longer needs.
+      build_res_.Shrink(table_.TakeRows().size() * sizeof(Value));
+      probe_.rows = std::vector<Value>();
+    }
+  }
+  return !serve_.rows()->empty();
 }
 
-Status HashJoinOp::ParallelProbe() {
-  std::vector<Value> rows;
-  while (true) {
-    TMDB_ASSIGN_OR_RETURN(size_t got, left_->NextBatch(&rows, kExecBatchSize));
-    if (got == 0) break;
-    TMDB_RETURN_IF_ERROR(build_res_.Add(got * sizeof(Value)));
+Status HashJoinOp::ProbeRound() {
+  const bool parallel = ctx_->parallel_enabled() && !probe_.degraded;
+  // A parallel round is one dispatch, of morsels of at most
+  // kMorselTargetRows rows, each checkpointed as its task starts.
+  const size_t round =
+      parallel ? kMaxMorselsPerDispatch * kMorselTargetRows : kExecBatchSize;
+  Status charged = Status::OK();
+  if (probe_.rows.empty()) {
+    while (!probe_.left_done && charged.ok() && probe_.rows.size() < round) {
+      // Never past the round, so a parallel round joins every row it pulled.
+      const size_t max = std::min(kExecBatchSize, round - probe_.rows.size());
+      TMDB_ASSIGN_OR_RETURN(size_t got, left_->NextBatch(&probe_.rows, max));
+      probe_.left_done = got == 0;
+      if (!parallel || probe_.left_done) break;
+      charged = round_res_.Add(got * sizeof(Value));
+    }
   }
-  std::vector<MorselRange> morsels = SplitMorsels(rows.size(),
-                                                  ctx_->num_threads);
-  std::vector<std::vector<Value>> outputs(morsels.size());
-  std::vector<ExecStats> local_stats(morsels.size());
-  std::vector<std::unique_ptr<SubplanEvaluator>> probe_evals =
+  const size_t n = std::min(round, probe_.rows.size() - probe_.pos);
+  probe_.ended = n == 0;
+  if (probe_.ended) return Status::OK();
+  if (!charged.ok()) return Degrade(charged);
+
+  std::vector<MorselRange> morsels =
+      parallel ? SplitMorsels(n, ctx_->num_threads)
+               : std::vector<MorselRange>{{probe_.pos, probe_.pos + n}};
+  std::vector<ExecStats> local_stats(parallel ? morsels.size() : 0);
+  std::vector<std::unique_ptr<SubplanEvaluator>> evals =
       ForkSubplanEvaluators(ctx_->subplans, &local_stats);
-  TMDB_RETURN_IF_ERROR(ParallelForMorsels(
-      ctx_->sched, ctx_->guard, morsels,
-      [&](size_t m, MorselRange range) -> Status {
-        ExecContext wctx;
-        wctx.outer_env = ctx_->outer_env;
-        wctx.subplans =
-            probe_evals[m] != nullptr ? probe_evals[m].get() : ctx_->subplans;
-        wctx.stats = &local_stats[m];
-        wctx.guard = ctx_->guard;
-        uint64_t pairs = 0;
+  // Morsel 0 writes straight into serve_, which is empty at a refill; the
+  // others follow it in morsel order, which is the serial emission order.
+  std::vector<std::vector<Value>> outputs(morsels.size() - 1);
+  // A one-batch round runs inline, checkpointed by its refill.
+  Status probed = ParallelForMorsels(
+      parallel ? ctx_->sched : nullptr, parallel ? ctx_->guard : nullptr,
+      morsels, [&](size_t m, MorselRange range) -> Status {
+        ExecContext wctx = *ctx_;
+        uint64_t morsel_pairs = 0;
+        uint64_t* pairs = parallel ? &morsel_pairs : &probe_.pairs;
+        if (parallel) {
+          wctx.subplans = evals[m] != nullptr ? evals[m].get() : ctx_->subplans;
+          wctx.stats = &local_stats[m];
+        }
+        std::vector<Value>* out = m == 0 ? serve_.rows() : &outputs[m - 1];
         for (size_t i = range.begin; i < range.end; ++i) {
-          TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(&wctx, i - range.begin));
-          TMDB_RETURN_IF_ERROR(
-              ProcessLeftRow(rows[i], &wctx, &pairs, &outputs[m]));
+          const Value& row = probe_.rows[i];
+          const size_t emitted = out->size();
+          Result<uint32_t> slot = ProbeSlot(table_, row, nullptr, &wctx);
+          Status s = slot.ok() ? ProcessMatch(table_, row, *slot, &wctx,
+                                              pairs, out)
+                               : slot.status();
+          if (!s.ok()) {
+            // A trip cut the row's pairs short: its partial output goes.
+            out->erase(out->begin() + static_cast<ptrdiff_t>(emitted),
+                       out->end());
+            if (!parallel) probe_.pos = i;  // the first row not joined
+            return s;
+          }
         }
         return Status::OK();
-      }));
-  // Concatenating in morsel order reproduces the serial emission order;
-  // rows_emitted is counted at serve time, like the serial probe.
-  AccumulateStats(local_stats, ctx_->stats);
-  size_t total = 0;
-  for (const std::vector<Value>& part : outputs) total += part.size();
-  TMDB_RETURN_IF_ERROR(build_res_.Add(total * sizeof(Value)));
+      });
+  // A one-batch round that tripped keeps the output of the rows before the
+  // tripped one, and diverts that row and the rest.
+  if (!probed.ok()) return parallel ? Degrade(probed) : DivertProbe(probed);
   std::vector<Value>* serve = serve_.rows();
-  serve->reserve(total);
-  for (std::vector<Value>& part : outputs) {
-    for (Value& row : part) serve->push_back(std::move(row));
+  size_t total = serve->size();
+  for (const std::vector<Value>& part : outputs) total += part.size();
+  if (parallel) {
+    if (Status s = round_res_.Add(total * sizeof(Value)); !s.ok()) {
+      return Degrade(s);
+    }
+    AccumulateStats(local_stats, ctx_->stats);  // rows_emitted: at serve
+    serve->reserve(total);
   }
+  for (std::vector<Value>& part : outputs) {
+    serve->insert(serve->end(), std::make_move_iterator(part.begin()),
+                  std::make_move_iterator(part.end()));
+  }
+  probe_.pos += n;
+  if (probe_.pos < probe_.rows.size()) return Status::OK();
+  // Every pulled row is joined: they go now, not at the next round. A
+  // parallel round that joined the whole left input ends the probe; one-batch
+  // rounds end at a refill that finds no row, as a threads-1 run does.
+  probe_.rows.clear();
+  probe_.pos = 0;
+  probe_.ended = parallel && probe_.left_done;
   return Status::OK();
 }
 
-Result<bool> HashJoinOp::Refill() {
-  if (materialized_) return false;
-  std::vector<Value>* out = serve_.rows();
-  while (true) {
-    if (Status s = CheckGuard(ctx_); !s.ok()) {
-      TMDB_RETURN_IF_ERROR(DivertProbe(s));
-      return !out->empty();
-    }
-    probe_batch_.clear();
-    TMDB_ASSIGN_OR_RETURN(size_t got,
-                          left_->NextBatch(&probe_batch_, kExecBatchSize));
-    if (got == 0) {
-      DropTable();
-      return false;
-    }
-    for (size_t i = 0; i < probe_batch_.size(); ++i) {
-      const size_t emitted = out->size();
-      if (Status s = ProcessLeftRow(probe_batch_[i], ctx_, &probe_pairs_, out);
-          !s.ok()) {
-        // The trip cut one left row's pairs short: its partial output goes,
-        // and the row is joined again with the ones after it.
-        out->erase(out->begin() + static_cast<ptrdiff_t>(emitted), out->end());
-        probe_batch_.erase(probe_batch_.begin(),
-                           probe_batch_.begin() + static_cast<ptrdiff_t>(i));
-        TMDB_RETURN_IF_ERROR(DivertProbe(s));
-        return !out->empty();
-      }
-    }
-    probe_batch_.clear();
-    if (!out->empty()) return true;
-  }
+Status HashJoinOp::Degrade(const Status& trip) {
+  if (!SpillEligibleTrip(ctx_, trip)) return trip;
+  // What the round built goes with its output (shared sets, output names,
+  // which racing morsels may memoise twice): one-batch rounds start afresh.
+  probe_.degraded = true;
+  serve_.rows()->clear();
+  round_res_.Release();
+  kernel_.ClearNames();
+  return slot_sets_ ? table_.ReserveSets() : Status::OK();
 }
 
 Status HashJoinOp::DivertProbe(const Status& trip) {
   if (!SpillEligibleTrip(ctx_, trip)) return trip;
-  // The table fit, but what the plan has built since no longer does.
-  // Nothing else is in flight, so the Grace path can take over the left
-  // rows not yet joined: the build rows go to disk and the output of those
-  // rows is appended to serve_.
+  // The table fit, but what the plan has built since no longer does: the
+  // Grace path takes over the left rows not yet joined, appending to serve_.
+  probe_.rows.erase(probe_.rows.begin(),
+                    probe_.rows.begin() + static_cast<ptrdiff_t>(probe_.pos));
   return SpillBuildAndProbe(ctx_, table_.TakeRows(), /*right_open=*/false,
-                            /*left_open=*/true, std::move(probe_batch_));
-}
-
-void HashJoinOp::DropTable() {
-  build_res_.Shrink(table_.TakeRows().size() * sizeof(Value));
+                            /*left_open=*/true, std::move(probe_.rows));
 }
 
 Result<size_t> HashJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
@@ -293,18 +287,21 @@ Result<size_t> HashJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
 }
 
 void HashJoinOp::Close() {
-  kernel_.ClearNames();
-  probe_batch_.clear();
-  probe_pairs_ = 0;
-  serve_.Clear();
-  materialized_ = false;
-  spilled_ = false;
-  table_.Reset(nullptr);
-  build_res_.Release();
+  Reset(nullptr);
   left_->Close();
   // Usually already closed at the end of BuildTable; closing again is a
   // no-op, but matters when the build unwound mid-drain (guard trip).
   right_->Close();
+}
+
+void HashJoinOp::Reset(QueryGuard* guard) {
+  kernel_.ClearNames();
+  probe_ = Probe();
+  round_res_.Reset(guard);
+  serve_.Clear();
+  materialized_ = false;
+  build_res_.Reset(guard);
+  table_.Reset(guard);
 }
 
 std::string HashJoinOp::Describe() const {

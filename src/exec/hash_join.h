@@ -41,23 +41,23 @@ namespace tmdb {
 /// predicate_evals still advances by the slot's size per probe. Other nest
 /// joins build a set per probe from the same JoinTable::SlotSet.
 ///
-/// With ExecContext::parallel_enabled(), build keys are evaluated in
-/// morsels and the probe side is materialised and probed in parallel
-/// morsels (each worker evaluates subplan-bearing residuals and G functions
-/// with its own forked subplan evaluator). Both are bit-identical to serial
-/// execution: slots keep per-key build order, morsel outputs are
-/// concatenated in probe order, and worker-local stats are summed
-/// deterministically. Serially, one loop probes a left batch at a time and
-/// serves its output through NextBatch.
+/// One loop probes at every thread count: each refill probes a round of
+/// left rows through ParallelForMorsels. Serially a round is one left batch
+/// run inline; with ExecContext::parallel_enabled() (which also evaluates
+/// build keys in morsels) it is one dispatch of at most
+/// kMaxMorselsPerDispatch × kMorselTargetRows rows, each morsel with its own
+/// forked subplan evaluator. Outputs append in morsel order and worker-local
+/// stats sum, so every thread count is bit-identical to serial execution.
 ///
 /// Under a memory budget the table charges its own arrays exactly, and a
 /// memory trip fails the query unless ExecContext::spill is set. With
-/// spill, a trip while the parallel probe materialises retries with the
-/// serial probe, and a trip while the build side materialises or indexes,
-/// or in the serial probe, degrades to Grace-style partitioned execution
-/// instead of failing (hash_join_spill.cc, on the Grace module of
-/// spill_util.h that ν shares): the build rows and the probe rows not yet
-/// joined partition to disk as `tag · key · payload` records routed on the
+/// spill, a trip in a parallel round drops that round's output, and the
+/// probe goes on in one-batch rounds: the rows the round pulled, then the
+/// rest of the still-open left input. A trip while the build side
+/// materialises or indexes, or in a one-batch round, degrades to Grace-style
+/// partitioned execution (hash_join_spill.cc, on spill_util.h's Grace
+/// module that ν shares): the build rows and the probe rows not yet joined
+/// partition to disk as `tag · key · payload` records routed on the
 /// composite key's hash, partitions are processed one at a time into a
 /// JoinTable each (recursing on partitions that still exceed the budget;
 /// one still over it at kMaxSpillDepth fails with kResourceExhausted), and
@@ -109,26 +109,20 @@ class HashJoinOp final : public PhysicalOp {
   /// True when G reads neither the left variable nor a subplan.
   static bool GroupsPerKey(const JoinSpec& spec);
 
+  /// Empties the operator and binds its charges to `guard`.
+  void Reset(QueryGuard* guard);
   /// Drains the build input into table_, or diverts to the spill path.
   Status BuildTable(ExecContext* ctx);
-  /// Materialises the left input and probes it with parallel morsels,
-  /// filling serve_.
-  Status ParallelProbe();
-  /// Refills serve_ with the output of the next left batch; false at the
-  /// end of the left input, or once a materialised output is served.
+  /// Refills serve_ from the next probe rounds; false at the end.
   Result<bool> Refill();
-  /// Hands the left rows not yet joined (those in probe_batch_, then the
-  /// rest of the left input) to the Grace path when `trip` is a memory trip
-  /// spill can relieve; otherwise returns `trip`.
+  /// Probes the next round of left rows into serve_.
+  Status ProbeRound();
+  /// Switches a tripped parallel round to one-batch rounds when `trip` is
+  /// a memory trip spill can relieve; otherwise returns `trip`.
+  Status Degrade(const Status& trip);
+  /// Hands the left rows not yet joined (the round's from probe_.pos, then
+  /// the rest of the left input) to the Grace path, as Degrade does.
   Status DivertProbe(const Status& trip);
-  /// Frees the table and refunds its build rows once the probe input is
-  /// spent, rather than at Close: what the plan builds above the join gets
-  /// the budget the join no longer needs.
-  void DropTable();
-  /// Appends the join output rows of one left row to `out` (all modes);
-  /// `pairs` is the caller's JoinKernel pair count.
-  Status ProcessLeftRow(const Value& left_row, ExecContext* ctx,
-                        uint64_t* pairs, std::vector<Value>* out) const;
   /// The slot `left_row` probes in `table`; `key` is its composite key
   /// when the caller already holds it (spill partitions decode it).
   Result<uint32_t> ProbeSlot(const JoinTable& table, const Value& left_row,
@@ -146,7 +140,7 @@ class HashJoinOp final : public PhysicalOp {
   /// build rows plus the probe side, then processes partitions one at a
   /// time into serve_. `right_open` says the build input still has rows;
   /// `left_open` says the probe input is open mid-stream: only
-  /// `pending_left` and its unread rows are joined.
+  /// `pending_left` and the rows the left input has yet to return join.
   Status SpillBuildAndProbe(ExecContext* ctx, std::vector<Value> build_rows,
                             bool right_open, bool left_open = false,
                             std::vector<Value> pending_left = {});
@@ -167,19 +161,27 @@ class HashJoinOp final : public PhysicalOp {
   // The in-memory build table (unused once the build spilled).
   JoinTable table_;
 
-  // Join output, served by NextBatch: one left batch's output on the
-  // serial probe, or the whole output when materialized_ (the parallel and
-  // spill paths fill it at Open).
-  std::vector<Value> probe_batch_;
-  uint64_t probe_pairs_ = 0;  // the serial probe's JoinKernel pair count
+  // One Open's probe: the round's left rows, joined up to `pos` (after a
+  // degrade the rest feed the one-batch rounds).
+  struct Probe {
+    std::vector<Value> rows;
+    size_t pos = 0;
+    bool left_done = false;  // the left input returned its last row
+    bool ended = false;      // every left row is joined
+    bool degraded = false;   // a parallel round tripped: one-batch rounds
+    uint64_t pairs = 0;      // the one-batch rounds' JoinKernel pair count
+  };
+  Probe probe_;
+
+  // Join output, served by NextBatch: a round's, or the whole output once
+  // materialized_ (the Grace spill path fills it at once).
   JoinOutput serve_;
   bool materialized_ = false;
 
-  // True once this Open diverted to the Grace spill path.
-  bool spilled_ = false;
-
-  // Bytes charged to the guard for build/probe materialisation.
+  // Bytes charged to the guard: the table's build rows (build_res_), and a
+  // parallel round's left and output slots until the next refill.
   GuardReservation build_res_;
+  GuardReservation round_res_;
 
   // The per-left-row join of every mode; slot_sets_: the nest join shares
   // one set per table slot instead.

@@ -20,7 +20,6 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
                                       std::vector<Value> build_rows,
                                       bool right_open, bool left_open,
                                       std::vector<Value> pending_left) {
-  spilled_ = true;
   materialized_ = true;
 
   // Everything the reservation covered either moves to disk below or is
@@ -55,7 +54,7 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
     if (!left_open) TMDB_RETURN_IF_ERROR(left_->Open(ctx));
     TMDB_ASSIGN_OR_RETURN(
         probes, SpillInput(ctx, "hj-probe", std::move(pending_left),
-                           left_.get(), /*child_open=*/true,
+                           left_.get(), /*child_open=*/!probe_.left_done,
                            /*count_built=*/false,
                            keyed_by(left_keys_, spec_.left_var)));
   }

@@ -3,10 +3,12 @@
 // same ExecStats. Also unit-tests the ParallelForMorsels entry point over
 // the shared work-stealing scheduler.
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -232,6 +234,65 @@ TEST_P(ParallelHashJoinTest, PoolReusableAfterFailedParallelBuild) {
   auto recovered = executor.RunPhysical(op.get());
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ExpectIdentical(*recovered, serial.rows);
+}
+
+/// Emits `total` rows in batches of at most 1000, cycling through 1000
+/// distinct rows, so its batches never line up with a probe round.
+class ShortBatchSource final : public PhysicalOp {
+ public:
+  explicit ShortBatchSource(size_t total) : total_(total) {
+    for (int i = 0; i < 1000; ++i) {
+      cycle_.push_back(IntRow({"e", "d"}, {i, i % 64}));
+    }
+  }
+  Status Open(ExecContext*) override {
+    emitted_ = 0;
+    return Status::OK();
+  }
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override {
+    const size_t n = std::min({max, size_t{1000}, total_ - emitted_});
+    for (size_t i = 0; i < n; ++i) out->push_back(cycle_[emitted_++ % 1000]);
+    return n;
+  }
+  void Close() override {}
+  std::string Describe() const override { return "ShortBatchSource"; }
+  std::vector<const PhysicalOp*> children() const override { return {}; }
+
+ private:
+  size_t total_;
+  size_t emitted_ = 0;
+  std::vector<Value> cycle_;
+};
+
+TEST(ParallelProbeRoundTest, LeftInputLongerThanOneRoundMatchesSerial) {
+  // One parallel probe round takes kMaxMorselsPerDispatch ×
+  // kMorselTargetRows left rows; a left input one short batch past that
+  // needs a second round, over rows the first did not join.
+  const size_t round = kMaxMorselsPerDispatch * kMorselTargetRows;
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto y, Table::Create("Y", Type::Tuple({{"a", Type::Int()},
+                                              {"b", Type::Int()}})));
+  for (int i = 0; i < 32; ++i) {
+    TMDB_ASSERT_OK(y->Insert(IntRow({"a", "b"}, {i, 2 * i})));
+  }
+  Type x_type = Type::Tuple({{"e", Type::Int()}, {"d", Type::Int()}});
+  Expr xv = Expr::Var("x", x_type);
+  Expr yv = Expr::Var("y", y->schema());
+  JoinSpec spec;
+  spec.mode = JoinMode::kSemi;
+  spec.left_var = "x";
+  spec.right_var = "y";
+  spec.right_type = y->schema();
+  spec.pred = Expr::True();
+  HashJoinOp join(PhysicalOpPtr(new ShortBatchSource(round + 700)),
+                  PhysicalOpPtr(new TableScanOp(y)), std::move(spec),
+                  {Expr::Must(Expr::Field(xv, "d"))},
+                  {Expr::Must(Expr::Field(yv, "b"))});
+  RunOutcome serial = RunWithThreads(&join, 1);
+  ASSERT_EQ(serial.rows.size(), (round + 700) / 2);
+  RunOutcome parallel = RunWithThreads(&join, 4);
+  ExpectIdentical(parallel.rows, serial.rows);
+  ExpectSameStats(parallel.stats, serial.stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -342,6 +342,168 @@ TEST(SpillProbeTest, TripInsideAProbeBatchDivertsToSpill) {
   fs::remove_all(base);
 }
 
+TEST(SpillProbeTest, HotProbeKeyFailsAlikeAtEveryThreadCount) {
+  // Half of 20 probe rows hit the one key all 6000 fat build rows share, and
+  // G = y.a, so each of their sets holds 6000 values. Under 128 KiB the
+  // build fits but the probe does not, and the Grace path recurses to the
+  // depth bound on the hot key. A parallel round's trip probes on in
+  // one-batch rounds and diverts as a threads-1 run does, so both thread
+  // counts fail there, with the same error and the same spill counters, and
+  // leave nothing behind.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto left, Table::Create("L", Type::Tuple({{"e", Type::Int()},
+                                                 {"d", Type::Int()}})));
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto right,
+      Table::Create("R", Type::Tuple({{"a", Type::Int()},
+                                      {"b", Type::Int()},
+                                      {"pad", Type::String()}})));
+  for (int i = 0; i < 20; ++i) {
+    TMDB_ASSERT_OK(left->Insert(IntRow({"e", "d"}, {i, i % 2 == 0 ? 7 : i})));
+  }
+  const std::string pad(160, 'p');
+  for (int i = 0; i < 6000; ++i) {
+    TMDB_ASSERT_OK(right->Insert(Value::Tuple(
+        {"a", "b", "pad"},
+        {Value::Int(i), Value::Int(7), Value::String(pad)})));
+  }
+  Expr xv = Expr::Var("x", left->schema());
+  Expr yv = Expr::Var("y", right->schema());
+  JoinSpec spec;
+  spec.mode = JoinMode::kNestJoin;
+  spec.left_var = "x";
+  spec.right_var = "y";
+  spec.right_type = right->schema();
+  spec.pred = Expr::True();
+  spec.func = Expr::Must(Expr::Field(yv, "a"));
+  spec.label = "s";
+  HashJoinOp join(PhysicalOpPtr(new TableScanOp(left)),
+                  PhysicalOpPtr(new TableScanOp(right)), std::move(spec),
+                  {Expr::Must(Expr::Field(xv, "d"))},
+                  {Expr::Must(Expr::Field(yv, "b"))});
+
+  std::vector<Status> failures;
+  std::vector<ExecStats> stats;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string base =
+        MakeSpillBase("hot-probe-key-t" + std::to_string(threads));
+    Executor executor(threads);
+    GuardLimits limits;
+    limits.memory_budget_bytes = 128 << 10;
+    executor.set_limits(limits);
+    executor.set_spill_options(true, base, /*block_bytes=*/4096);
+    executor.mutable_stats()->Reset();
+    auto run = executor.RunPhysical(&join);
+    ASSERT_FALSE(run.ok());
+    failures.push_back(run.status());
+    stats.push_back(executor.stats());
+    EXPECT_TRUE(SpillBaseEmpty(base));
+    EXPECT_EQ(executor.guard()->materialized_bytes(), 0);
+    fs::remove_all(base);
+  }
+  EXPECT_EQ(failures[0].code(), StatusCode::kResourceExhausted)
+      << failures[0].ToString();
+  EXPECT_NE(failures[0].message().find("spill recursion limit"),
+            std::string::npos)
+      << failures[0].ToString();
+  EXPECT_EQ(failures[1].code(), failures[0].code());
+  EXPECT_EQ(failures[1].message(), failures[0].message());
+  EXPECT_EQ(stats[1].spill_partitions, stats[0].spill_partitions);
+  EXPECT_EQ(stats[1].spill_max_depth, stats[0].spill_max_depth);
+}
+
+/// Passes its child through and counts the child's opens.
+class CountingOpens final : public PhysicalOp {
+ public:
+  CountingOpens(PhysicalOpPtr child, int* opens)
+      : child_(std::move(child)), opens_(opens) {}
+  Status Open(ExecContext* ctx) override {
+    ++*opens_;
+    return child_->Open(ctx);
+  }
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override {
+    return child_->NextBatch(out, max);
+  }
+  void Close() override { child_->Close(); }
+  std::string Describe() const override { return "CountingOpens"; }
+  std::vector<const PhysicalOp*> children() const override {
+    return {child_.get()};
+  }
+
+ private:
+  PhysicalOpPtr child_;
+  int* opens_;
+};
+
+TEST(SpillProbeTest, ParallelRoundTripProbesOnInOneBatchRounds) {
+  // A parallel probe round holds every left row's output and charges the
+  // round's left and output slots; one-batch rounds hold one batch's worth.
+  // Between the two peaks, a 4-thread run's round trips and the join probes
+  // on in one-batch rounds: same rows, no Grace partition, and the left
+  // input opened once, never re-run.
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto left, Table::Create("L", Type::Tuple({{"e", Type::Int()},
+                                                 {"d", Type::Int()}})));
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto right, Table::Create("R", Type::Tuple({{"a", Type::Int()},
+                                                  {"b", Type::Int()}})));
+  for (int i = 0; i < 8000; ++i) {
+    TMDB_ASSERT_OK(left->Insert(IntRow({"e", "d"}, {i, (i * 7) % 8000})));
+    TMDB_ASSERT_OK(right->Insert(IntRow({"a", "b"}, {i, i})));
+  }
+  Expr xv = Expr::Var("x", left->schema());
+  Expr yv = Expr::Var("y", right->schema());
+  JoinSpec spec;
+  spec.mode = JoinMode::kInner;
+  spec.left_var = "x";
+  spec.right_var = "y";
+  spec.right_type = right->schema();
+  spec.pred = Expr::True();
+  int opens = 0;
+  HashJoinOp join(PhysicalOpPtr(new CountingOpens(
+                      PhysicalOpPtr(new TableScanOp(left)), &opens)),
+                  PhysicalOpPtr(new TableScanOp(right)), std::move(spec),
+                  {Expr::Must(Expr::Field(xv, "d"))},
+                  {Expr::Must(Expr::Field(yv, "b"))});
+  Executor reference(1);
+  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> baseline,
+                            reference.RunPhysical(&join));
+
+  // The least budget the join needs without spill, by bisection.
+  auto least_budget = [&](int threads) {
+    uint64_t lo = 0;
+    uint64_t hi = 64 << 20;
+    while (hi - lo > 1024) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      Executor executor(threads);
+      GuardLimits limits;
+      limits.memory_budget_bytes = mid;
+      executor.set_limits(limits);
+      (executor.RunPhysical(&join).ok() ? hi : lo) = mid;
+    }
+    return hi;
+  };
+  const uint64_t serial = least_budget(1);
+  const uint64_t parallel = least_budget(4);
+  ASSERT_GT(parallel, serial + 4096);
+
+  const std::string base = MakeSpillBase("parallel-round-trip");
+  Executor executor(4);
+  GuardLimits limits;
+  limits.memory_budget_bytes = serial + (parallel - serial) / 2;
+  executor.set_limits(limits);
+  executor.set_spill_options(true, base, /*block_bytes=*/4096);
+  opens = 0;
+  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> rows,
+                            executor.RunPhysical(&join));
+  EXPECT_TRUE(BitIdentical(rows, baseline));
+  EXPECT_EQ(opens, 1);
+  EXPECT_EQ(executor.stats().spill_partitions, 0u);
+  EXPECT_TRUE(SpillBaseEmpty(base));
+  fs::remove_all(base);
+}
+
 TEST_F(SpillJoinTest, SpillDisabledStillFailsFast) {
   PhysicalOpPtr plan = MakeJoin(JoinMode::kNestJoin);
   Executor executor(1);
