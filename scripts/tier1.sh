@@ -90,6 +90,9 @@ export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 ./build-ubsan/tests/columnar_exec_test
 ./build-ubsan/tests/differential_exec_test
 ./build-ubsan/tests/spill_exec_test
+# budget_sweep_test: its merge spill cells encode and decode through the
+# external sorter at every budget step.
+./build-ubsan/tests/budget_sweep_test
 ./build-ubsan/tests/parallel_exec_test
 ./build-ubsan/tests/fault_injection_test
 ./build-ubsan/tests/join_table_test

@@ -8,20 +8,11 @@ inline size_t AlignUp(size_t n) { return (n + 15) & ~size_t{15}; }
 
 Result<void*> Arena::Allocate(size_t bytes) {
   bytes = AlignUp(bytes == 0 ? 1 : bytes);
-  if (blocks_.empty() || blocks_.back().size - blocks_.back().used < bytes) {
-    const size_t block_size = bytes > block_bytes_ ? bytes : block_bytes_;
-    // Charge (and checkpoint) before allocating: a tripped budget must not
-    // leave memory the guard never saw.
-    TMDB_RETURN_IF_ERROR(res_.Add(block_size));
-    Block block;
-    block.data = std::make_unique<char[]>(block_size);
-    block.size = block_size;
-    blocks_.push_back(std::move(block));
-  }
-  Block& b = blocks_.back();
-  void* out = b.data.get() + b.used;
-  b.used += bytes;
-  return out;
+  // Charge (and checkpoint) before allocating: a tripped budget must not
+  // leave memory the guard never saw.
+  TMDB_RETURN_IF_ERROR(res_.Add(bytes));
+  blocks_.push_back(std::make_unique<char[]>(bytes));
+  return blocks_.back().get();
 }
 
 void Arena::Reset() {

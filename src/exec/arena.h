@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "base/result.h"
@@ -11,37 +12,24 @@
 
 namespace tmdb {
 
-/// Default arena block size — also the granularity at which arena memory is
-/// charged (and checkpointed) against the query's memory budget.
-inline constexpr size_t kArenaBlockBytes = 64 * 1024;
-
-/// Block size for an arena whose owner allocates a few arrays it sizes up
-/// front (a filter's selection scratch):
-/// every allocation gets a block of exactly its 16-byte-aligned size, so the
-/// guard is charged only the bytes the owner asked for. A few KiB of keys
-/// then cost a few KiB of budget, not a whole default block.
-inline constexpr size_t kArenaExactBlocks = 1;
-
-/// Block bump allocator backing per-query transient buffers: column
-/// gather and selection scratch.
+/// Allocator of per-query transient buffers: a columnar filter's mask,
+/// selection and predicate scratch, arrays its owner sizes up front.
 ///
 /// Allocations are trivially-destructible flat buffers only — the arena
-/// never runs destructors. Memory is charged to the bound QueryGuard one
-/// block at a time through a GuardReservation, so a per-element allocation
-/// costs a pointer bump while budget trips still fire within one block of
-/// the limit; Reset() frees every block and refunds the full charge, which
-/// is how operators drop their scratch when diverting to the row or spill
-/// path (the plan may outlive the executor, so Reset also runs at
-/// Open/Close). With kArenaExactBlocks each allocation is its own block, so
-/// the charge is exact rather than block-rounded.
+/// never runs destructors. Each allocation is its own block of exactly its
+/// 16-byte-aligned size, charged to the bound QueryGuard through a
+/// GuardReservation before it is allocated, so a few KiB of scratch cost a
+/// few KiB of budget. Reset() frees every block and refunds the full
+/// charge, which is how operators drop their scratch when diverting to the
+/// row path (the plan may outlive the executor, so Reset also runs at
+/// Open/Close).
 ///
 /// Not thread-safe: operators allocate from the coordinating thread only;
 /// morsel workers receive raw pointers into already-allocated (read-only)
 /// arrays.
 class Arena {
  public:
-  explicit Arena(size_t block_bytes = kArenaBlockBytes)
-      : block_bytes_(block_bytes == 0 ? kArenaBlockBytes : block_bytes) {}
+  Arena() = default;
   ~Arena() = default;
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -53,9 +41,9 @@ class Arena {
     res_.Reset(guard);
   }
 
-  /// Allocates `bytes` (16-byte aligned). A new block is charged — and the
-  /// guard checkpointed — before it is touched, so a blown budget fails the
-  /// allocation instead of materialising invisible memory.
+  /// Allocates `bytes` (16-byte aligned). The block is charged — and the
+  /// guard checkpointed — before it is allocated, so a blown budget fails
+  /// the allocation instead of materialising invisible memory.
   Result<void*> Allocate(size_t bytes);
 
   /// Typed array helper; T must be trivially destructible.
@@ -83,14 +71,7 @@ class Arena {
   }
 
  private:
-  struct Block {
-    std::unique_ptr<char[]> data;
-    size_t size = 0;
-    size_t used = 0;
-  };
-
-  size_t block_bytes_;
-  std::vector<Block> blocks_;
+  std::vector<std::unique_ptr<char[]>> blocks_;
   GuardReservation res_;
 };
 

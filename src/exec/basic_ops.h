@@ -74,7 +74,7 @@ class ExprSourceOp final : public PhysicalOp {
 /// bit-identical rows and identical rows_emitted / predicate_evals counts.
 /// All transient buffers (mask, selection vector, predicate scratch) come
 /// from a per-operator arena charged to the query's guard — exactly their
-/// size, so a memory budget sees a few KiB, not a whole arena block. When
+/// size, so a memory budget sees a few KiB of scratch as a few KiB. When
 /// even that trips the budget at Open, the filter runs the row path.
 class FilterOp final : public PhysicalOp {
  public:
@@ -113,7 +113,7 @@ class FilterOp final : public PhysicalOp {
 
   // Columnar state, live while columnar_active_.
   bool columnar_active_ = false;
-  Arena arena_{kArenaExactBlocks};
+  Arena arena_;
   ColumnPredicate::Scratch scratch_;
   uint32_t* sel_ = nullptr;  // surviving row ids of the current batch
   uint8_t* keep_ = nullptr;  // predicate output mask

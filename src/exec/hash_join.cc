@@ -182,12 +182,13 @@ Status HashJoinOp::ProbeRound() {
   Status charged = Status::OK();
   if (probe_.rows.empty()) {
     while (!probe_.left_done && charged.ok() && probe_.rows.size() < round) {
-      // Never past the round, so a parallel round joins every row it pulled.
+      // Never past the round, so a round joins every row it pulled. A short
+      // pull is topped up, so the round that reaches the left input's end
+      // knows it and ends the probe.
       const size_t max = std::min(kExecBatchSize, round - probe_.rows.size());
       TMDB_ASSIGN_OR_RETURN(size_t got, left_->NextBatch(&probe_.rows, max));
       probe_.left_done = got == 0;
-      if (!parallel || probe_.left_done) break;
-      charged = round_res_.Add(got * sizeof(Value));
+      if (parallel && got > 0) charged = round_res_.Add(got * sizeof(Value));
     }
   }
   const size_t n = std::min(round, probe_.rows.size() - probe_.pos);
@@ -252,12 +253,11 @@ Status HashJoinOp::ProbeRound() {
   }
   probe_.pos += n;
   if (probe_.pos < probe_.rows.size()) return Status::OK();
-  // Every pulled row is joined: they go now, not at the next round. A
-  // parallel round that joined the whole left input ends the probe; one-batch
-  // rounds end at a refill that finds no row, as a threads-1 run does.
+  // Every pulled row is joined: they go now, not at the next round. A round
+  // that joined the whole left input ends the probe.
   probe_.rows.clear();
   probe_.pos = 0;
-  probe_.ended = parallel && probe_.left_done;
+  probe_.ended = probe_.left_done;
   return Status::OK();
 }
 

@@ -48,6 +48,10 @@ namespace tmdb {
 /// kMaxMorselsPerDispatch × kMorselTargetRows rows, each morsel with its own
 /// forked subplan evaluator. Outputs append in morsel order and worker-local
 /// stats sum, so every thread count is bit-identical to serial execution.
+/// A round tops up a short pull until it is full or the left input ends,
+/// so the round that finds the end ends the probe with it, and no later
+/// refill checkpoints (and trips) with nothing left to probe; only a left
+/// input that ends exactly at a round's end leaves that one refill.
 ///
 /// Under a memory budget the table charges its own arrays exactly, and a
 /// memory trip fails the query unless ExecContext::spill is set. With

@@ -15,9 +15,9 @@
 namespace tmdb {
 
 /// Sort-merge implementation of all join modes over equi-key predicates.
-/// Both inputs are materialised and sorted by their composite keys at Open;
-/// the merge walks the left side in key order, pairing each left row with
-/// the run of equal-keyed right rows.
+/// Both inputs drain into an ExternalSorter at Open, keyed by their
+/// composite keys; the merge walks the left side in key order, pairing each
+/// left row with the run of equal-keyed right rows.
 ///
 /// For the nest join this is the "simple modification of a common join
 /// implementation method" the paper describes: since the merge visits each
@@ -25,16 +25,16 @@ namespace tmdb {
 /// be emitted as soon as the run ends, and dangling left rows (no matching
 /// run) emit with the empty set.
 ///
-/// Memory-bounded execution: each side degrades independently. When the
-/// materialise/sort at Open trips the memory budget and the trip is
-/// spill-eligible (see SpillEligibleTrip), the rows salvaged so far plus the
-/// rest of that input go through an ExternalSorter — stable-sorted runs on
-/// disk, k-way merged back in key order during the join. The in-memory sort
-/// is std::stable_sort and the external merge breaks key ties by run order,
-/// so both paths yield the same equal-key ordering and the join output is
-/// bit-identical either way. During the merge only the current right-key
-/// run is resident (charged live through a GuardReservation); a single run
-/// that alone exceeds the budget bottoms out with kResourceExhausted, the
+/// Memory-bounded execution: the sorters hold their records in memory and
+/// this operator charges them. A spill-eligible memory trip (see
+/// SpillEligibleTrip) moves the larger side's resident records to disk and
+/// retries: while a side sorts, its resident chunk goes as one sorted run;
+/// once it is read back, the unread rest of its resident run goes. That
+/// holds at any trip, while sorting or merging, so success is monotone in
+/// the budget. The sorter's order is std::stable_sort's wherever the runs
+/// were cut, so the join output is bit-identical either way. A trip with
+/// nothing resident left to move fails: then the current right-key run
+/// alone (charged live through a GuardReservation) exceeds the budget, the
 /// same boundary the hash join's skewed-partition recursion has.
 class MergeJoinOp final : public PhysicalOp {
  public:
@@ -56,49 +56,35 @@ class MergeJoinOp final : public PhysicalOp {
   }
 
  private:
-  using Keyed = std::pair<Value, Value>;  // (composite key, row)
-
-  /// One sorted input: fully in memory, or — after an eligible memory trip
-  /// — sorted runs on disk behind a SortedRunMerger. NextFromSide yields
-  /// rows in ascending key order either way.
+  /// One input: its rows drain into `sorter` at Open, then come back in key
+  /// order through `reader`. `res` charges the records either holds in
+  /// memory.
   struct SortedSide {
-    std::vector<Value> raw;    // drained rows in input order (spill salvage)
-    std::vector<Keyed> rows;   // stable-sorted pairs (in-memory path)
-    size_t pos = 0;
-    bool external = false;
-    bool drained = false;      // source fully consumed into raw/runs
-    bool salvageable = false;  // raw is intact and the source is still usable
     std::unique_ptr<ExternalSorter> sorter;
-    std::unique_ptr<SortedRunMerger> merger;
-    GuardReservation res;      // charges for raw slots, pairs, spill chunks
+    std::unique_ptr<SortedRunMerger> reader;
+    GuardReservation res;
 
+    size_t resident() const;
     void Reset(QueryGuard* guard);
   };
 
-  /// In-memory path: drains `source`, computes keys, stable-sorts. On a
-  /// memory trip, `side->raw` still holds every drained row and
-  /// `side->salvageable` says whether ExternalSortSide may take over.
-  Status MaterialiseSorted(PhysicalOp* source, const std::vector<Expr>& keys,
-                           const std::string& var, SortedSide* side);
+  /// Drains `source` into the side's sorter, then opens its reader.
+  Status SortSide(PhysicalOp* source, const std::vector<Expr>& keys,
+                  const std::string& var, SortedSide* side, const char* label);
 
-  /// Spill path: re-encodes the salvaged rows and the rest of `source` into
-  /// stable-sorted runs sized by the live memory budget, then opens the
-  /// k-way merger.
-  Status ExternalSortSide(PhysicalOp* source, const std::vector<Expr>& keys,
-                          const std::string& var, SortedSide* side,
-                          const char* label);
-
-  Status OpenSide(PhysicalOp* source, const std::vector<Expr>& keys,
-                  const std::string& var, SortedSide* side,
-                  const char* label);
-
-  /// Yields the side's next row in key order; false at end of input.
-  Result<bool> NextFromSide(SortedSide* side, Keyed* out);
+  /// Moves the resident records of the side that holds more to disk; false
+  /// when neither holds any.
+  Result<bool> SpillResident();
+  /// Returns `st`, unless it is a spill-eligible memory trip: then moves
+  /// resident records to disk and returns `retry()` instead, for as long as
+  /// there are records to move and the retry trips.
+  template <typename Retry>
+  Status SpillOnTrip(Status st, Retry retry);
 
   /// Buffers the run of right rows whose key equals `key` into right_run_,
   /// discarding smaller-keyed right rows (keys ascend on both sides, so the
   /// right cursor only moves forward). Equal consecutive left keys reuse
-  /// the buffered run.
+  /// the buffered run. A call that failed resumes where it stopped.
   Status LoadRightRun(const Value& key);
   /// Counts one step of the merge in steps_ and checkpoints once per
   /// kExecBatchSize steps.
@@ -118,12 +104,14 @@ class MergeJoinOp final : public PhysicalOp {
   SortedSide left_side_;
   SortedSide right_side_;
 
-  Keyed right_pending_;        // first right row past the current run
+  SortRecord left_row_;        // the left row being joined
+  bool left_valid_ = false;
+  SortRecord right_pending_;   // first right row past the current run
   bool right_pending_valid_ = false;
-  bool right_eof_ = false;
   std::vector<Value> right_run_;  // rows of the current equal-key run
   Value right_run_key_;
   bool right_run_valid_ = false;
+  bool right_run_done_ = false;   // the run is buffered whole
   GuardReservation run_res_;   // right-run buffer slots (live-checked)
   // Left rows, right rows and pairs examined: CountStep's and the
   // JoinKernel's one count.

@@ -238,8 +238,7 @@ class GuardReservation {
     return guard_->Check();
   }
 
-  /// Bytes between deferred checkpoints for Charge(). The default matches
-  /// the arena block size, so arena-backed scratch checks once per block.
+  /// Bytes between deferred checkpoints for Charge(); 64 KiB by default.
   void set_charge_granularity(uint64_t bytes) {
     granularity_ = bytes > 0 ? bytes : 1;
   }

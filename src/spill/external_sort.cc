@@ -13,6 +13,36 @@ Status RunCheckpoint(const SortCheckpoint& checkpoint) {
   return checkpoint ? checkpoint() : Status::OK();
 }
 
+void StableSortByKey(std::vector<SortRecord>* records) {
+  std::stable_sort(records->begin(), records->end(),
+                   [](const SortRecord& a, const SortRecord& b) {
+                     return a.key.Compare(b.key) < 0;
+                   });
+}
+
+/// Writes [first, last) to `path` as one run — each record the key's
+/// encoding, then the row's — freeing records as they reach disk.
+Status WriteRun(SpillManager* manager, const std::string& path,
+                std::vector<SortRecord>::iterator first,
+                std::vector<SortRecord>::iterator last,
+                const SortCheckpoint& checkpoint, const SortStatsSink& sink) {
+  SpillWriter writer(path, manager->block_bytes(), manager->injector());
+  Status st = writer.Open();
+  std::string record;
+  for (; st.ok() && first != last; ++first) {
+    record.clear();
+    EncodeValue(first->key, &record);
+    EncodeValue(first->row, &record);
+    *first = SortRecord();
+    st = writer.Append(record);
+    if (st.ok() && writer.TookBlockBoundary()) st = RunCheckpoint(checkpoint);
+  }
+  if (st.ok()) st = writer.Finish();
+  if (sink.bytes_written != nullptr) *sink.bytes_written += writer.stats().bytes;
+  if (st.ok() && sink.runs != nullptr) ++*sink.runs;
+  return st;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -27,41 +57,19 @@ ExternalSorter::ExternalSorter(SpillManager* manager, std::string label,
 
 ExternalSorter::~ExternalSorter() { AbandonRuns(); }
 
-Status ExternalSorter::SpillRun(std::vector<SortRecord>* chunk) {
-  if (chunk->empty()) return Status::OK();
-  std::stable_sort(chunk->begin(), chunk->end(),
-                   [](const SortRecord& a, const SortRecord& b) {
-                     return a.key.Compare(b.key) < 0;
-                   });
-
-  TMDB_ASSIGN_OR_RETURN(
-      std::string path,
-      manager_->NewFilePath(label_ + "-r" + std::to_string(runs_spilled_)));
-  SpillWriter writer(path, manager_->block_bytes(), manager_->injector());
-  Status st = writer.Open();
-  std::string record;
-  for (SortRecord& rec : *chunk) {
-    if (!st.ok()) break;
-    record.clear();
-    EncodeValue(rec.key, &record);
-    record += rec.payload;
-    rec = SortRecord();  // free the in-memory copy as it reaches disk
-    st = writer.Append(record);
-    if (st.ok() && writer.TookBlockBoundary()) st = RunCheckpoint(checkpoint_);
-  }
-  if (st.ok()) st = writer.Finish();
-  if (sink_.bytes_written != nullptr) {
-    *sink_.bytes_written += writer.stats().bytes;
-  }
-  chunk->clear();
-  if (!st.ok()) {
-    manager_->RemoveFile(path);
-    return st;
-  }
-  run_paths_.push_back(std::move(path));
-  ++runs_spilled_;
-  if (sink_.runs != nullptr) ++*sink_.runs;
-  return Status::OK();
+Status ExternalSorter::SpillRun() {
+  if (chunk_.empty()) return Status::OK();
+  StableSortByKey(&chunk_);
+  Result<std::string> path =
+      manager_->NewFilePath(label_ + "-r" + std::to_string(run_paths_.size()));
+  // Owned from here on, so a failed write is removed with the other runs.
+  if (path.ok()) run_paths_.push_back(*path);
+  const Status st =
+      path.ok() ? WriteRun(manager_, *path, chunk_.begin(), chunk_.end(),
+                           checkpoint_, sink_)
+                : path.status();
+  chunk_.clear();
+  return st;
 }
 
 Result<std::string> ExternalSorter::MergeGroup(std::vector<std::string> group,
@@ -73,17 +81,19 @@ Result<std::string> ExternalSorter::MergeGroup(std::vector<std::string> group,
   // The group merger removes its input runs as they are exhausted and on
   // Close, so a pass's inputs are gone as soon as (or as best-effort as)
   // they have been folded into the output run.
-  SortedRunMerger merger(manager_, std::move(group), checkpoint_, sink_);
+  SortedRunMerger merger(manager_, label_, std::move(group), {}, checkpoint_,
+                         sink_);
   SpillWriter writer(out_path, manager_->block_bytes(), manager_->injector());
   Status st = merger.Open();
   if (st.ok()) st = writer.Open();
-  Value key;
-  std::string_view payload;
-  bool eof = false;
   while (st.ok()) {
-    st = merger.Next(&key, &payload, &eof);
-    if (!st.ok() || eof) break;
-    st = writer.Append(merger.current_record());
+    size_t head = 0;
+    Result<bool> got = merger.Pop(&head);
+    if (!got.ok() || !*got) {
+      st = got.status();
+      break;
+    }
+    st = writer.Append(merger.heads_[head].record);
     if (st.ok() && writer.TookBlockBoundary()) st = RunCheckpoint(checkpoint_);
   }
   if (st.ok()) st = writer.Finish();
@@ -98,7 +108,7 @@ Result<std::string> ExternalSorter::MergeGroup(std::vector<std::string> group,
   return out_path;
 }
 
-Result<std::unique_ptr<SortedRunMerger>> ExternalSorter::Merge() {
+Result<std::unique_ptr<SortedRunMerger>> ExternalSorter::Finish() {
   std::vector<std::string> paths = std::move(run_paths_);
   run_paths_.clear();
   int pass = 0;
@@ -137,10 +147,12 @@ Result<std::unique_ptr<SortedRunMerger>> ExternalSorter::Merge() {
     paths = std::move(next);
     ++pass;
   }
-  auto merger = std::make_unique<SortedRunMerger>(manager_, std::move(paths),
-                                                  checkpoint_, sink_);
-  Status st = merger->Open();
-  if (!st.ok()) return st;  // merger dtor closes readers and removes runs
+  StableSortByKey(&chunk_);
+  auto merger = std::make_unique<SortedRunMerger>(
+      manager_, label_, std::move(paths), std::move(chunk_), checkpoint_,
+      sink_);
+  chunk_.clear();
+  TMDB_RETURN_IF_ERROR(merger->Open());  // its dtor removes the runs
   return merger;
 }
 
@@ -154,47 +166,63 @@ void ExternalSorter::AbandonRuns() {
 // ---------------------------------------------------------------------------
 // SortedRunMerger
 
-SortedRunMerger::SortedRunMerger(SpillManager* manager,
+SortedRunMerger::SortedRunMerger(SpillManager* manager, std::string label,
                                  std::vector<std::string> run_paths,
+                                 std::vector<SortRecord> resident,
                                  SortCheckpoint checkpoint, SortStatsSink sink)
     : manager_(manager),
+      label_(std::move(label)),
       paths_(std::move(run_paths)),
+      resident_(std::move(resident)),
       checkpoint_(std::move(checkpoint)),
-      sink_(sink) {}
+      sink_(sink) {
+  if (!resident_.empty()) {
+    resident_head_ = paths_.size();
+    paths_.emplace_back();
+  }
+}
 
 SortedRunMerger::~SortedRunMerger() { Close(); }
+
+bool SortedRunMerger::Greater(size_t a, size_t b) const {
+  // Ties on key go to the lower run index: records spilled earlier surface
+  // earlier, and the resident run, added last, ranks last (stability).
+  const int c = KeyOf(a).Compare(KeyOf(b));
+  if (c != 0) return c > 0;
+  return a > b;
+}
 
 Status SortedRunMerger::Open() {
   heads_.resize(paths_.size());
   heap_.reserve(paths_.size());
   for (size_t i = 0; i < paths_.size(); ++i) {
-    heads_[i].reader =
-        std::make_unique<SpillReader>(paths_[i], manager_->injector());
-    TMDB_RETURN_IF_ERROR(heads_[i].reader->Open());
+    if (i != resident_head_) {
+      heads_[i].reader =
+          std::make_unique<SpillReader>(paths_[i], manager_->injector());
+      TMDB_RETURN_IF_ERROR(heads_[i].reader->Open());
+    }
     TMDB_RETURN_IF_ERROR(Advance(i));
-  }
-  // Build the min-heap over non-empty runs; ties on key go to the lower run
-  // index, i.e. records spilled earlier surface earlier (stability).
-  for (size_t i = 0; i < heads_.size(); ++i) {
     if (!heads_[i].eof) heap_.push_back(i);
   }
-  std::make_heap(heap_.begin(), heap_.end(), [this](size_t a, size_t b) {
-    const int c = heads_[a].key.Compare(heads_[b].key);
-    if (c != 0) return c > 0;
-    return a > b;
-  });
+  const auto greater = [this](size_t a, size_t b) { return Greater(a, b); };
+  std::make_heap(heap_.begin(), heap_.end(), greater);
+  in_memory_ = heads_.size() == 1 && resident_head_ == 0;
   open_ = true;
   return Status::OK();
 }
 
 Status SortedRunMerger::Advance(size_t i) {
   Head& h = heads_[i];
+  if (h.reader == nullptr) {  // the resident run; Next already moved pos_
+    h.eof = pos_ >= resident_.size();
+    return Status::OK();
+  }
   std::string_view record;
   bool eof = false;
   TMDB_RETURN_IF_ERROR(h.reader->Next(&record, &eof));
-  if (h.reader->TookBlockBoundary()) {
-    TMDB_RETURN_IF_ERROR(RunCheckpoint(checkpoint_));
-  }
+  // The checkpoint waits for the next Pop, so a trip there leaves this
+  // head whole and the call can be repeated.
+  if (h.reader->TookBlockBoundary()) boundary_ = true;
   if (eof) {
     h.eof = true;
     RetireHead(i);
@@ -223,38 +251,71 @@ void SortedRunMerger::RetireHead(size_t i) {
   }
 }
 
-Status SortedRunMerger::Next(Value* key, std::string_view* payload,
-                             bool* eof) {
+Result<bool> SortedRunMerger::Pop(size_t* head) {
   if (!open_ || closed_) {
     return Status::Internal("SortedRunMerger used before Open/after Close");
   }
-  const auto greater = [this](size_t a, size_t b) {
-    const int c = heads_[a].key.Compare(heads_[b].key);
-    if (c != 0) return c > 0;
-    return a > b;
-  };
-  if (last_ != static_cast<size_t>(-1)) {
+  const auto greater = [this](size_t a, size_t b) { return Greater(a, b); };
+  if (last_ != kNone) {
     const size_t i = last_;
-    last_ = static_cast<size_t>(-1);
     TMDB_RETURN_IF_ERROR(Advance(i));
+    last_ = kNone;
     if (!heads_[i].eof) {
       heap_.push_back(i);
       std::push_heap(heap_.begin(), heap_.end(), greater);
     }
   }
-  if (heap_.empty()) {
-    *eof = true;
-    return Status::OK();
+  if (boundary_) {
+    TMDB_RETURN_IF_ERROR(RunCheckpoint(checkpoint_));
+    boundary_ = false;
   }
+  if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), greater);
-  const size_t i = heap_.back();
+  *head = heap_.back();
   heap_.pop_back();
-  last_ = i;  // its reader advances on the next call, keeping views valid
-  const Head& h = heads_[i];
-  *key = h.key;
-  *payload = h.record.substr(h.payload_pos);
-  cur_record_ = h.record;
-  *eof = false;
+  last_ = *head;  // its reader advances on the next call, keeping views valid
+  return true;
+}
+
+Result<bool> SortedRunMerger::Next(SortRecord* out) {
+  if (in_memory_) {  // nothing on disk: walk the sorted vector
+    if (pos_ == resident_.size()) return false;
+    *out = std::move(resident_[pos_++]);
+    return true;
+  }
+  size_t i = 0;
+  TMDB_ASSIGN_OR_RETURN(bool have, Pop(&i));
+  if (!have) return false;
+  Head& h = heads_[i];
+  if (h.reader == nullptr) {
+    *out = std::move(resident_[pos_++]);
+    return true;
+  }
+  out->key = std::move(h.key);
+  size_t pos = h.payload_pos;
+  TMDB_RETURN_IF_ERROR(DecodeValue(h.record, &pos, &out->row));
+  return true;
+}
+
+Status SortedRunMerger::SpillRest() {
+  const size_t r = resident_head_;
+  if (r != kNone && pos_ < resident_.size()) {
+    resident_head_ = kNone;
+    TMDB_ASSIGN_OR_RETURN(paths_[r], manager_->NewFilePath(label_ + "-rest"));
+    TMDB_RETURN_IF_ERROR(WriteRun(manager_, paths_[r],
+                                  resident_.begin() + static_cast<long>(pos_),
+                                  resident_.end(), checkpoint_, sink_));
+    heads_[r].reader =
+        std::make_unique<SpillReader>(paths_[r], manager_->injector());
+    TMDB_RETURN_IF_ERROR(heads_[r].reader->Open());
+    // A head still in the heap loads its record, the one it ranked by. (A
+    // merger that walked its vector left the head in the heap.)
+    if (last_ != r) TMDB_RETURN_IF_ERROR(Advance(r));
+    in_memory_ = false;
+  }
+  resident_.clear();
+  resident_.shrink_to_fit();
+  pos_ = 0;
   return Status::OK();
 }
 
@@ -273,6 +334,8 @@ void SortedRunMerger::Close() {
   }
   heads_.clear();
   heap_.clear();
+  resident_.clear();
+  in_memory_ = false;
 }
 
 }  // namespace tmdb

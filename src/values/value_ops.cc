@@ -160,19 +160,27 @@ const TupleNames* TupleNamesMemo::Find(const TupleNames& left,
   return nullptr;
 }
 
-void TupleNamesMemo::Insert(const TupleNames& left, const TupleNames& right,
-                            const TupleNames& out) {
-  // Every slot taken: this shape goes unmemoised.
-  if (slots_.back().load(std::memory_order_acquire) != nullptr) return;
-  auto* entry = new Entry{left, right, out};
+TupleNames TupleNamesMemo::Insert(const TupleNames& left,
+                                  const TupleNames& right, TupleNames out) {
+  Entry* entry = nullptr;
   for (std::atomic<Entry*>& slot : slots_) {
-    Entry* expected = nullptr;
-    if (slot.compare_exchange_strong(expected, entry,
-                                     std::memory_order_acq_rel)) {
-      return;
+    Entry* held = slot.load(std::memory_order_acquire);
+    if (held == nullptr) {
+      if (entry == nullptr) entry = new Entry{left, right, out};
+      if (slot.compare_exchange_strong(held, entry,
+                                       std::memory_order_acq_rel)) {
+        return out;
+      }
+    }
+    // Slots fill in order, so a caller that raced this one to the same
+    // shape holds a slot at or before the first one free.
+    if (held->left == left && held->right == right) {
+      delete entry;
+      return held->out;
     }
   }
-  delete entry;  // other threads took the last slots first
+  delete entry;  // every slot holds another shape: this one goes unmemoised
+  return out;
 }
 
 void TupleNamesMemo::Clear() {

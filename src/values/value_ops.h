@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
@@ -51,14 +52,14 @@ class TupleNamesMemo {
   TupleNamesMemo& operator=(const TupleNamesMemo&) = delete;
 
   /// The list derived from (left, right): the memoised one, or `derive()`'s,
-  /// which is memoised while a slot is free.
+  /// which is memoised while a slot is free. Callers that miss at once all
+  /// get the one list that was memoised first.
   template <typename Derive>
   Result<TupleNames> Get(const TupleNames& left, const TupleNames& right,
                          Derive&& derive) {
     if (const TupleNames* hit = Find(left, right)) return *hit;
     TMDB_ASSIGN_OR_RETURN(TupleNames out, derive());
-    Insert(left, right, out);
-    return out;
+    return Insert(left, right, std::move(out));
   }
   /// The one-input form: the list derived from `in` alone.
   template <typename Derive>
@@ -82,8 +83,10 @@ class TupleNamesMemo {
   static const TupleNames& NoNames();
   const TupleNames* Find(const TupleNames& left,
                          const TupleNames& right) const;
-  void Insert(const TupleNames& left, const TupleNames& right,
-              const TupleNames& out);
+  /// Memoises `out` in the first free slot and returns it, or returns the
+  /// list another caller memoised for (left, right) meanwhile.
+  TupleNames Insert(const TupleNames& left, const TupleNames& right,
+                    TupleNames out);
 
   std::array<std::atomic<Entry*>, kSlots> slots_{};
 };

@@ -11,7 +11,8 @@
 // checkpoint of an operator that can still spill. A hash join whose build
 // fits checks once its table is built and again at each probe batch, and
 // hands what is left of the probe to the Grace path on a trip there. The
-// merge join spills only while it sorts, so its cells run without spill.
+// merge join moves a side's resident sorted records to disk at a trip while
+// it sorts or merges, and retries.
 
 #include <cstdint>
 #include <filesystem>
@@ -143,11 +144,6 @@ TEST_F(BudgetSweepTest, SuccessIsMonotoneInTheBudget) {
                                   ? peak / kStepsPerPeak
                                   : 256;
         for (bool spill : {false, true}) {
-          // A merge join whose sides sorted in memory cannot spill once it
-          // merges: a trip there fails budgets above ones where a side
-          // went to disk at Open and the query passed. Its no-spill cells
-          // still run every budget step.
-          if (impl == JoinImpl::kMerge && spill) continue;
           SCOPED_TRACE(std::string(query) +
                        (impl == JoinImpl::kHash ? " / hash" : " / merge") +
                        " / threads=" + std::to_string(threads) +

@@ -304,7 +304,7 @@ TEST_F(ColumnarQueryTest, MemoryBudgetStillTripsWithColumnarEnabled) {
   // meets the same budget).
   RunOptions options;
   options.enable_columnar = true;
-  options.memory_budget_bytes = 2 << 10;  // 2 KiB: below one arena block
+  options.memory_budget_bytes = 2 << 10;  // 2 KiB: far below the working set
   auto result = db_.Run(kSeedQueries[0], options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
@@ -997,34 +997,6 @@ TEST(ResolveFastKeysTest, KindRules) {
 
 // ----------------------------------------------- arena + charge granularity
 
-TEST(ArenaTest, ChargesBlocksThroughTheGuard) {
-  ExecStats stats;
-  QueryGuard guard;
-  GuardLimits limits;
-  limits.memory_budget_bytes = 256 << 10;
-  guard.Reset(limits, &stats, nullptr);
-
-  Arena arena;
-  arena.Bind(&guard);
-  const int64_t before = guard.memory_used();
-  TMDB_ASSERT_OK_AND_ASSIGN(int64_t* p, arena.AllocateArray<int64_t>(100));
-  for (int i = 0; i < 100; ++i) p[i] = i;
-  EXPECT_GE(guard.memory_used() - before, 100 * 8);
-  // Reset refunds everything.
-  arena.Reset();
-  EXPECT_EQ(guard.memory_used(), before);
-
-  // A budget below one block: the very first allocation trips.
-  GuardLimits small;
-  small.memory_budget_bytes = 1 << 10;
-  guard.Reset(small, &stats, nullptr);
-  arena.Bind(&guard);
-  auto blown = arena.AllocateArray<int64_t>(100);
-  ASSERT_FALSE(blown.ok());
-  EXPECT_EQ(blown.status().code(), StatusCode::kResourceExhausted);
-  arena.Reset();
-}
-
 TEST(ArenaTest, ExactBlocksChargeOnlyTheBytesAskedFor) {
   ExecStats stats;
   QueryGuard guard;
@@ -1032,10 +1004,9 @@ TEST(ArenaTest, ExactBlocksChargeOnlyTheBytesAskedFor) {
   limits.memory_budget_bytes = 1 << 10;
   guard.Reset(limits, &stats, nullptr);
 
-  // The budget that a default arena's first block trips (above) holds an
-  // exact arena's 800 + 96 bytes: each allocation is charged its 16-byte
-  // aligned size, not a block.
-  Arena arena(kArenaExactBlocks);
+  // A 1 KiB budget holds 800 + 96 bytes: each allocation is charged its
+  // 16-byte aligned size.
+  Arena arena;
   arena.Bind(&guard);
   TMDB_ASSERT_OK_AND_ASSIGN(int64_t* p, arena.AllocateArray<int64_t>(100));
   p[99] = 1;
@@ -1047,6 +1018,18 @@ TEST(ArenaTest, ExactBlocksChargeOnlyTheBytesAskedFor) {
   auto blown = arena.AllocateArray<int64_t>(100);
   ASSERT_FALSE(blown.ok());
   EXPECT_TRUE(arena.IsMemoryTrip(blown.status()));
+  // Reset refunds everything.
+  arena.Reset();
+  EXPECT_EQ(guard.memory_used(), 0);
+
+  // A budget below the first allocation: it trips at once.
+  GuardLimits small;
+  small.memory_budget_bytes = 512;
+  guard.Reset(small, &stats, nullptr);
+  arena.Bind(&guard);
+  auto first = arena.AllocateArray<int64_t>(100);
+  ASSERT_FALSE(first.ok());
+  EXPECT_TRUE(arena.IsMemoryTrip(first.status()));
   arena.Reset();
   EXPECT_EQ(guard.memory_used(), 0);
 }

@@ -2,9 +2,11 @@
 // Value codec (round-trip preserves structural equality, hash, and total-
 // order position; malformed bytes yield kIoError, never a crash), the
 // block-structured checksummed file format (any single corrupted byte
-// surfaces as kIoError before a record is decoded), and the SpillManager
-// temp-directory lifecycle including injected unlink failures.
+// surfaces as kIoError before a record is decoded), the SpillManager
+// temp-directory lifecycle including injected unlink failures, and the
+// external sort built on them.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -16,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "base/fault_injector.h"
+#include "base/random.h"
+#include "spill/external_sort.h"
 #include "spill/spill_file.h"
 #include "spill/spill_manager.h"
 #include "spill/value_codec.h"
@@ -434,6 +438,103 @@ TEST(SpillManagerTest, DestructorCleansUp) {
     ASSERT_TRUE(fs::exists(dir));
   }
   EXPECT_FALSE(fs::exists(dir));
+}
+
+// ------------------------------------------------------------ external sort
+
+size_t FilesIn(const std::string& dir) {
+  if (dir.empty() || !fs::exists(dir)) return 0;
+  return static_cast<size_t>(std::distance(fs::directory_iterator(dir),
+                                           fs::directory_iterator()));
+}
+
+/// Keys from a domain of 8, so nearly every key is tied; each row carries
+/// its input position, so a reordered tie shows.
+std::vector<SortRecord> TieHeavyRecords(size_t n) {
+  Random rng(11);
+  std::vector<SortRecord> records;
+  for (size_t i = 0; i < n; ++i) {
+    records.push_back(SortRecord{
+        Value::List({Value::Int(rng.UniformInt(0, 7))}),
+        Value::Tuple({"i", "pad"},
+                     {Value::Int(static_cast<int64_t>(i)),
+                      Value::String(std::string(i % 40, 'p'))})});
+  }
+  return records;
+}
+
+// The sorter's order is std::stable_sort's wherever its runs are cut: with
+// no run on disk, with runs spilled at several points (30 of them take a
+// merge pass), and with the resident rest moved to disk at several reader
+// positions. Every run file is gone once the merge is read out, and a
+// checkpoint that fails while reading is retried by repeating the call.
+TEST(ExternalSortTest, EveryCutYieldsTheStableSortOrder) {
+  const size_t kRows = 3000;
+  const std::vector<SortRecord> input = TieHeavyRecords(kRows);
+  std::vector<SortRecord> expected = input;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const SortRecord& a, const SortRecord& b) {
+                     return a.key.Compare(b.key) < 0;
+                   });
+  std::vector<size_t> every_hundred;
+  for (size_t i = 100; i < kRows; i += 100) every_hundred.push_back(i);
+  const std::vector<std::vector<size_t>> run_cuts = {
+      {}, {1000}, {1, 500, 2999}, every_hundred};
+  const size_t kNever = kRows + 1;
+
+  for (const std::vector<size_t>& cuts : run_cuts) {
+    for (size_t rest_at : {kNever, size_t{0}, size_t{1}, size_t{1500},
+                           kRows - 1, kRows}) {
+      SCOPED_TRACE("runs=" + std::to_string(cuts.size()) +
+                   " rest_at=" + std::to_string(rest_at));
+      SpillManager manager(::testing::TempDir(), /*block_bytes=*/512,
+                           nullptr);
+      uint64_t runs = 0;
+      bool reading = false;
+      uint64_t checkpoints = 0;
+      // While the merge is read, every fifth checkpoint fails.
+      auto checkpoint = [&]() -> Status {
+        if (reading && ++checkpoints % 5 == 0) {
+          return Status::ResourceExhausted("checkpoint");
+        }
+        return Status::OK();
+      };
+      ExternalSorter sorter(&manager, "t", checkpoint,
+                            SortStatsSink{&runs, nullptr, nullptr});
+      for (size_t i = 0; i < kRows; ++i) {
+        if (std::find(cuts.begin(), cuts.end(), i) != cuts.end()) {
+          TMDB_ASSERT_OK(sorter.SpillRun());
+        }
+        sorter.Add(input[i].key, input[i].row);
+      }
+      EXPECT_EQ(runs, cuts.size());
+      TMDB_ASSERT_OK_AND_ASSIGN(std::unique_ptr<SortedRunMerger> merger,
+                                sorter.Finish());
+      reading = true;
+      for (size_t i = 0; i <= kRows; ++i) {
+        if (i == rest_at) {
+          reading = false;
+          TMDB_ASSERT_OK(merger->SpillRest());
+          EXPECT_EQ(merger->resident(), 0u);
+          reading = true;
+        }
+        SortRecord out;
+        Result<bool> got = merger->Next(&out);
+        while (!got.ok()) got = merger->Next(&out);
+        if (i == kRows) {
+          EXPECT_FALSE(*got);
+          break;
+        }
+        ASSERT_TRUE(*got) << "ended at " << i;
+        ASSERT_TRUE(out.key.Equals(expected[i].key)) << "record " << i;
+        ASSERT_TRUE(out.row.Equals(expected[i].row)) << "record " << i;
+      }
+      EXPECT_EQ(FilesIn(manager.dir()), 0u);
+      if (cuts.empty() && rest_at >= kRows) {
+        EXPECT_TRUE(manager.dir().empty()) << "an unspilled sort wrote";
+      }
+    }
+  }
 }
 
 }  // namespace

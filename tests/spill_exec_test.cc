@@ -12,12 +12,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/fault_injector.h"
+#include "base/logging.h"
 #include "base/random.h"
 #include "catalog/table.h"
 #include "core/database.h"
@@ -276,7 +278,7 @@ TEST(SpillDepthBoundTest, HotBuildKeyFailsAtTheRecursionLimit) {
 
 TEST(SpillProbeTest, TripInsideAProbeBatchDivertsToSpill) {
   // 2000 probe rows each match one of 4000 fat build rows, and each output
-  // row is a fresh tuple. Between about two thirds and the whole of the
+  // row is a fresh tuple. Between about three quarters and the whole of the
   // no-spill peak the build table fits, but one probe batch's output does
   // not fit beside it: the trip lands on a checkpoint inside the batch, and
   // the join hands that row and the rest of the probe to the Grace path.
@@ -325,7 +327,7 @@ TEST(SpillProbeTest, TripInsideAProbeBatchDivertsToSpill) {
     (executor.RunPhysical(&join).ok() ? hi : lo) = mid;
   }
   const std::string base = MakeSpillBase("probe-divert");
-  for (uint64_t percent : {72, 76, 80}) {
+  for (uint64_t percent : {80, 86, 92}) {
     SCOPED_TRACE("budget " + std::to_string(percent) + "% of " +
                  std::to_string(hi));
     Executor executor(1);
@@ -342,46 +344,59 @@ TEST(SpillProbeTest, TripInsideAProbeBatchDivertsToSpill) {
   fs::remove_all(base);
 }
 
-TEST(SpillProbeTest, HotProbeKeyFailsAlikeAtEveryThreadCount) {
-  // Half of 20 probe rows hit the one key all 6000 fat build rows share, and
-  // G = y.a, so each of their sets holds 6000 values. Under 128 KiB the
-  // build fits but the probe does not, and the Grace path recurses to the
-  // depth bound on the hot key. A parallel round's trip probes on in
-  // one-batch rounds and diverts as a threads-1 run does, so both thread
-  // counts fail there, with the same error and the same spill counters, and
-  // leave nothing behind.
-  TMDB_ASSERT_OK_AND_ASSIGN(
-      auto left, Table::Create("L", Type::Tuple({{"e", Type::Int()},
-                                                 {"d", Type::Int()}})));
-  TMDB_ASSERT_OK_AND_ASSIGN(
-      auto right,
-      Table::Create("R", Type::Tuple({{"a", Type::Int()},
-                                      {"b", Type::Int()},
-                                      {"pad", Type::String()}})));
+/// A nest join of 20 probe rows, half of them on the one key all 6000 fat
+/// build rows share, with G = y.a: each hot row's set holds 6000 values.
+/// With `residual`, an always-true residual predicate makes every hot row
+/// walk its 6000 pairs and build a set of its own; without it, the hot rows
+/// share their slot's one set.
+std::unique_ptr<HashJoinOp> HotProbeKeyJoin(bool residual) {
+  auto left = Table::Create("L", Type::Tuple({{"e", Type::Int()},
+                                              {"d", Type::Int()}}));
+  auto right = Table::Create("R", Type::Tuple({{"a", Type::Int()},
+                                               {"b", Type::Int()},
+                                               {"pad", Type::String()}}));
+  TMDB_CHECK(left.ok() && right.ok());
   for (int i = 0; i < 20; ++i) {
-    TMDB_ASSERT_OK(left->Insert(IntRow({"e", "d"}, {i, i % 2 == 0 ? 7 : i})));
+    TMDB_CHECK((*left)->Insert(IntRow({"e", "d"}, {i, i % 2 == 0 ? 7 : i}))
+                   .ok());
   }
   const std::string pad(160, 'p');
   for (int i = 0; i < 6000; ++i) {
-    TMDB_ASSERT_OK(right->Insert(Value::Tuple(
-        {"a", "b", "pad"},
-        {Value::Int(i), Value::Int(7), Value::String(pad)})));
+    TMDB_CHECK((*right)
+                   ->Insert(Value::Tuple(
+                       {"a", "b", "pad"},
+                       {Value::Int(i), Value::Int(7), Value::String(pad)}))
+                   .ok());
   }
-  Expr xv = Expr::Var("x", left->schema());
-  Expr yv = Expr::Var("y", right->schema());
+  Expr xv = Expr::Var("x", (*left)->schema());
+  Expr yv = Expr::Var("y", (*right)->schema());
   JoinSpec spec;
   spec.mode = JoinMode::kNestJoin;
   spec.left_var = "x";
   spec.right_var = "y";
-  spec.right_type = right->schema();
-  spec.pred = Expr::True();
+  spec.right_type = (*right)->schema();
+  spec.pred = residual ? Expr::Must(Expr::Binary(
+                             BinaryOp::kGe, Expr::Must(Expr::Field(yv, "a")),
+                             Expr::Literal(Value::Int(0))))
+                       : Expr::True();
   spec.func = Expr::Must(Expr::Field(yv, "a"));
   spec.label = "s";
-  HashJoinOp join(PhysicalOpPtr(new TableScanOp(left)),
-                  PhysicalOpPtr(new TableScanOp(right)), std::move(spec),
-                  {Expr::Must(Expr::Field(xv, "d"))},
-                  {Expr::Must(Expr::Field(yv, "b"))});
+  return std::make_unique<HashJoinOp>(
+      PhysicalOpPtr(new TableScanOp(*left)),
+      PhysicalOpPtr(new TableScanOp(*right)), std::move(spec),
+      std::vector<Expr>{Expr::Must(Expr::Field(xv, "d"))},
+      std::vector<Expr>{Expr::Must(Expr::Field(yv, "b"))});
+}
 
+TEST(SpillProbeTest, HotProbeKeyFailsAlikeAtEveryThreadCount) {
+  // Under 128 KiB the build fits, but the first hot row's own set does not
+  // fit beside it: the trip lands inside the probe, the join diverts that
+  // row and the rest to the Grace path, and Grace recurses to the depth
+  // bound on the hot key. A parallel round's trip probes on in one-batch
+  // rounds and diverts as a threads-1 run does, so both thread counts fail
+  // there, with the same error and the same spill counters, and leave
+  // nothing behind.
+  std::unique_ptr<HashJoinOp> join = HotProbeKeyJoin(/*residual=*/true);
   std::vector<Status> failures;
   std::vector<ExecStats> stats;
   for (int threads : {1, 4}) {
@@ -394,7 +409,7 @@ TEST(SpillProbeTest, HotProbeKeyFailsAlikeAtEveryThreadCount) {
     executor.set_limits(limits);
     executor.set_spill_options(true, base, /*block_bytes=*/4096);
     executor.mutable_stats()->Reset();
-    auto run = executor.RunPhysical(&join);
+    auto run = executor.RunPhysical(join.get());
     ASSERT_FALSE(run.ok());
     failures.push_back(run.status());
     stats.push_back(executor.stats());
@@ -409,8 +424,39 @@ TEST(SpillProbeTest, HotProbeKeyFailsAlikeAtEveryThreadCount) {
       << failures[0].ToString();
   EXPECT_EQ(failures[1].code(), failures[0].code());
   EXPECT_EQ(failures[1].message(), failures[0].message());
+  EXPECT_GT(stats[0].spill_partitions, 0u);
   EXPECT_EQ(stats[1].spill_partitions, stats[0].spill_partitions);
   EXPECT_EQ(stats[1].spill_max_depth, stats[0].spill_max_depth);
+}
+
+TEST(SpillProbeTest, TripPastTheLastProbeRowNeedsNoGrace) {
+  // The hot rows share their slot's set, so the probe fits under 128 KiB;
+  // what the caller collects of the output then leaves no room for the
+  // build table. The round that pulls the left input's last row also finds
+  // its end, so the probe ends with it and the table goes: no refill runs
+  // with nothing left to probe, and nothing is written to disk.
+  std::unique_ptr<HashJoinOp> join = HotProbeKeyJoin(/*residual=*/false);
+  Executor reference(1);
+  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> baseline,
+                            reference.RunPhysical(join.get()));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string base =
+        MakeSpillBase("hot-probe-end-t" + std::to_string(threads));
+    Executor executor(threads);
+    GuardLimits limits;
+    limits.memory_budget_bytes = 128 << 10;
+    executor.set_limits(limits);
+    executor.set_spill_options(true, base, /*block_bytes=*/4096);
+    executor.mutable_stats()->Reset();
+    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> rows,
+                              executor.RunPhysical(join.get()));
+    EXPECT_TRUE(BitIdentical(rows, baseline));
+    EXPECT_EQ(executor.stats().spill_partitions, 0u);
+    EXPECT_EQ(executor.stats().spill_bytes_written, 0u);
+    EXPECT_TRUE(SpillBaseEmpty(base));
+    fs::remove_all(base);
+  }
 }
 
 /// Passes its child through and counts the child's opens.
@@ -1093,6 +1139,62 @@ TEST_F(SpillSemanticsTest, CountBugQueryMergeJoinExternalSortsExactly) {
   naive.strategy = Strategy::kNaive;
   TMDB_ASSERT_OK_AND_ASSIGN(QueryResult truth, db.Run(query, naive));
   EXPECT_TRUE(RowsEqual(spilled.rows, truth.rows));
+  fs::remove_all(base);
+}
+
+// A trip while the merge join merges moves a side's resident sorted rest
+// to disk and retries. Just under the least budget the COUNT-bug query
+// needs without spill (in the budget sweep's setup), both sides still sort
+// in memory and the trip lands in the merge: without spill that is the
+// run's failure, with spill the query must pass.
+TEST_F(SpillSemanticsTest, CountBugQueryMergeJoinSpillsWhileMerging) {
+  Database db;
+  CountBugConfig config;
+  config.num_r = 120;
+  config.num_s = 240;
+  TMDB_ASSERT_OK(LoadCountBugTables(&db, config));
+  const std::string query =
+      "SELECT x FROM R x WHERE x.b = count(SELECT y.d FROM S y "
+      "WHERE x.c = y.c)";
+  const std::string base = MakeSpillBase("mj-merge-trip");
+
+  RunOptions unbudgeted = Opts(0, false, 1, "");
+  unbudgeted.join_impl = JoinImpl::kMerge;
+  TMDB_ASSERT_OK_AND_ASSIGN(QueryResult reference, db.Run(query, unbudgeted));
+  EXPECT_EQ(reference.stats.spill_bytes_written, 0u);
+
+  for (int threads : {1, 4}) {
+    for (bool columnar : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (columnar ? " columnar" : " row"));
+      auto opts = [&](uint64_t budget, bool spill) {
+        RunOptions o = Opts(budget, spill, threads, spill ? base : "");
+        o.join_impl = JoinImpl::kMerge;
+        o.enable_columnar = columnar;
+        return o;
+      };
+      uint64_t lo = 0;        // fails without spill
+      uint64_t hi = 1 << 20;  // succeeds without spill
+      while (hi - lo > 64) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        (db.Run(query, opts(mid, false)).ok() ? hi : lo) = mid;
+      }
+      auto hard_fail = db.Run(query, opts(lo, false));
+      ASSERT_FALSE(hard_fail.ok());
+      EXPECT_NE(hard_fail.status().ToString().find("equal-key run"),
+                std::string::npos)
+          << "the trip did not land in the merge: "
+          << hard_fail.status().ToString();
+
+      TMDB_ASSERT_OK_AND_ASSIGN(QueryResult spilled,
+                                db.Run(query, opts(lo, true)));
+      EXPECT_TRUE(BitIdentical(spilled.rows, reference.rows));
+      EXPECT_GT(spilled.stats.spill_sort_runs, 0u)
+          << "budget=" << lo << " never engaged the sorter's spill: "
+          << spilled.stats.ToString();
+      EXPECT_TRUE(SpillBaseEmpty(base));
+    }
+  }
   fs::remove_all(base);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,16 +31,21 @@ thread_local size_t g_allocated_bytes = 0;
 // The replacements hand out malloc'd memory and free it the same way.
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
-void* operator new(size_t n) {
+void* operator new(size_t n, const std::nothrow_t&) noexcept {
   if (g_counting) {
     ++g_allocations;
     g_allocated_bytes += n;
   }
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  return std::malloc(n == 0 ? 1 : n);
+}
+void* operator new(size_t n) {
+  if (void* p = operator new(n, std::nothrow)) return p;
   throw std::bad_alloc();
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, size_t) noexcept { std::free(p); }
+// std::stable_sort's buffer comes from the nothrow form.
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace tmdb {
 namespace {
@@ -635,6 +641,50 @@ TEST(ValueRepTest, NamesMemoServesConcurrentLookups) {
   for (int t = 0; t < 4; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
 }
 
+TEST(ValueRepTest, NamesMemoMemoisesOnceUnderContention) {
+  // Four threads miss one cold memo at once: each derives a list of its
+  // own, and all must come away with the one list memoised first.
+  constexpr int kThreads = 4;
+  TupleNamesMemo memo;
+  const TupleNames in({"a"});
+  std::atomic<int> deriving{0};
+  auto derive = [&]() -> Result<TupleNames> {
+    // No thread memoises before every thread has missed.
+    deriving.fetch_add(1);
+    while (deriving.load() < kThreads) std::this_thread::yield();
+    return TupleNames({"a", "g"});
+  };
+  std::vector<TupleNames> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Result<TupleNames> names = memo.Get(in, derive);
+      if (names.ok()) got[t] = *names;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], TupleNames({"a", "g"})) << "thread " << t;
+    EXPECT_TRUE(got[t].SameList(got[0])) << "thread " << t;
+  }
+  // Exactly one slot went to the raced shape: three more shapes are all
+  // memoised, so a second lookup of each derives nothing.
+  auto never = []() -> Result<TupleNames> {
+    return Status::Internal("derived a memoised shape");
+  };
+  TMDB_ASSERT_OK_AND_ASSIGN(TupleNames again, memo.Get(in, never));
+  EXPECT_TRUE(again.SameList(got[0]));
+  for (const char* name : {"b", "c", "d"}) {
+    const TupleNames other({name});
+    auto derive_other = [&]() -> Result<TupleNames> {
+      return TupleNames({name, "g"});
+    };
+    TMDB_ASSERT_OK_AND_ASSIGN(TupleNames first, memo.Get(other, derive_other));
+    TMDB_ASSERT_OK_AND_ASSIGN(TupleNames second, memo.Get(other, never));
+    EXPECT_TRUE(second.SameList(first)) << name;
+  }
+}
+
 /// One corpus value with what it must render, encode and hash to: the
 /// figures the single-rep layout produced, pinned so the per-kind reps and
 /// shared names lists change none of them.
@@ -799,12 +849,12 @@ TEST(ValueRepTest, LiveBytesReturnToBaselineOncePinnedListsGo) {
   Database db;
   CountBugConfig config;
   config.num_r = 120;
-  config.num_s = 240;
+  config.num_s = 2400;
   TMDB_ASSERT_OK(LoadCountBugTables(&db, config));
   const int64_t before = ValueMemory::LiveBytes();
   {
     RunOptions options;
-    options.memory_budget_bytes = 48 << 10;
+    options.memory_budget_bytes = 352 << 10;
     options.enable_spill = true;
     TMDB_ASSERT_OK_AND_ASSIGN(
         QueryResult result,
